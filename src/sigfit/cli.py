@@ -282,10 +282,14 @@ def cmd_eval(args):
         "root": str(root),
         "terms": config.n_terms,
         "timestamp-channel": config.timestamp_channel or 0,
+        "timestamp-degree": config.timestamp_degree,
         "abscissa": config.abscissa,
+        "per-segment-fit": config.per_segment_fit,
+        "segments": config.n_segments,
         "enroll": protocol.enroll_size,
         "seed": protocol.seed,
         "algorithm": config.solver.algorithm,
+        "max-iterations": config.solver.max_iterations,
         "jobs": args.jobs,
     }
     _write_manifest(out_dir, "eval", snapshot, [root], outputs, started)
@@ -309,38 +313,31 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+_REPLAYABLE = ("fit", "rank", "preprocess", "eval", "synth")
+
+
 def cmd_rerun(args):
+    """Replay a manifest: every recorded key stands in for its flag.
+
+    A snapshot holds resolved values, including keys that only a config
+    file can set, so they go straight onto the parsed arguments rather
+    than through per-command flag lists.
+    """
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise _CliError(f"manifest not found: {manifest_path}", EXIT_IO)
     manifest = json.loads(manifest_path.read_text())
     command = manifest["command"]
     config = manifest["config"]
-    out_dir = str(Path(args.out) if args.out else manifest_path.parent)
-    argv = [command]
-    flags = {
-        "fit": ["file", "channel", "family", "terms", "algorithm", "abscissa", "max-iterations"],
-        "rank": ["file", "channel", "candidates", "segment-size", "abscissa"],
-        "preprocess": [
-            "root", "terms", "timestamp-channel", "timestamp-degree", "segment-size",
-            "abscissa", "segments", "algorithm", "max-iterations",
-        ],
-        "eval": ["root", "terms", "timestamp-channel", "abscissa", "enroll", "seed", "algorithm"],
-        "synth": ["users", "seed", "genuine", "forged"],
-    }.get(command)
-    if flags is None:
+    if command not in _REPLAYABLE:
         raise _CliError(f"manifest for unknown command {command!r}", EXIT_PARSE)
-    for key in flags:
-        if key in config:
-            argv.extend([f"--{key}", str(config[key])])
-    if command == "fit" and config.get("trace"):
-        argv.append("--trace")
-    if command == "preprocess" and config.get("per-segment-fit"):
-        argv.append("--per-segment-fit")
-    if command in ("preprocess", "eval"):
-        argv.extend(["--jobs", str(config.get("jobs", 1))])
-    argv.extend(["--out", out_dir])
-    return main(argv)
+    argv = [command, "--out", str(Path(args.out) if args.out else manifest_path.parent)]
+    if "file" in config:  # the one required flag (fit, rank)
+        argv.extend(["--file", str(config["file"])])
+    replay = _build_parser().parse_args(argv)
+    for key, value in config.items():
+        setattr(replay, key.replace("-", "_"), value)
+    return replay.func(replay)
 
 
 def _build_parser():

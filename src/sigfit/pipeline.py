@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import gof, models, solver
+from . import _blas, gof, models, solver
 from .errors import NonFiniteValueError, SigfitError
 from .ingest import extract_channel, N_CHANNELS, _user_sort_key
 from .solver import SolverConfig
@@ -216,13 +216,14 @@ def preprocess_sample(sample, config=None):
     blocks = []
     infos = []
     for channel in config.channels:
-        series = extract_channel(sample, channel, config.abscissa)
+        # any exception, from extraction on, costs this channel only
         try:
+            series = extract_channel(sample, channel, config.abscissa)
             if config.per_segment_fit:
                 block, info = _segmented_block(series, channel, config)
             else:
                 block, info = _whole_channel_block(series, channel, config)
-        except SigfitError as exc:
+        except Exception as exc:
             block = np.zeros(config.block_width)
             info = ChannelFit(
                 channel,
@@ -260,16 +261,26 @@ def uniformize_dataset(samples, config=None, jobs=1):
     """One vector per sample, identical length and layout across the run.
 
     Per-sample failures land in the report, never abort the batch. Output
-    order is deterministic: sorted by (user_id, sample_index).
+    order is deterministic: sorted by (user_id, sample_index). Every fit,
+    serial or in a pool worker, runs on one BLAS thread; the report records
+    that count (None without BLAS thread control) and the worker count.
     """
     config = config or PipelineConfig()
     config.validate()
     samples = sorted(samples, key=lambda s: (_user_sort_key(s.user_id), s.sample_index))
-    if jobs > 1 and len(samples) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vectors = list(pool.map(_preprocess_star, ((s, config) for s in samples), chunksize=4))
-    else:
-        vectors = [preprocess_sample(s, config) for s in samples]
+    jobs = jobs if jobs > 1 and len(samples) > 1 else 1
+    # the fits run on one BLAS thread: a second one only busy-waits, and pool
+    # workers would crowd each other off the cores
+    with _blas.single_thread() as blas_threads:
+        if jobs > 1:
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_blas.set_threads, initargs=(1,)
+            ) as pool:
+                vectors = list(
+                    pool.map(_preprocess_star, ((s, config) for s in samples), chunksize=4)
+                )
+        else:
+            vectors = [preprocess_sample(s, config) for s in samples]
     entries = []
     for vec in vectors:
         failed = [cf for cf in vec.channel_fits if cf.error]
@@ -286,6 +297,8 @@ def uniformize_dataset(samples, config=None, jobs=1):
         "n_samples": len(samples),
         "n_vectors": len(vectors),
         "vector_length": config.vector_length,
+        "jobs": jobs,
+        "blas_threads": blas_threads,
         "samples": entries,
     }
     return BatchResult(vectors, report)

@@ -25,6 +25,7 @@ literal mu*I contract for direct use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +157,10 @@ def _solve_normal(a, b, mu_is_zero):
     through here, so mu = 0 LM steps and GN steps match bit for bit.
     """
     p = a.shape[0]
-    scale = np.sqrt(np.diag(a))
-    scale[~(scale > 0)] = 1.0
-    ah = a / np.outer(scale, scale)
+    scale = np.sqrt(a.diagonal())
+    if not (scale > 0).all():
+        scale[~(scale > 0)] = 1.0
+    ah = a / (scale[:, None] * scale)
     bh = b / scale
     if not mu_is_zero:
         try:
@@ -254,7 +256,7 @@ def fit(problem, config=None):
         except (InvalidParamsError, DomainError):
             return None
         r = f - y if unit_sigma else (f - y) / sigma
-        return r if np.all(np.isfinite(r)) else None
+        return r if np.isfinite(r).all() else None
 
     vec = params.param_vector()
     fvec = try_residuals(vec)
@@ -286,17 +288,13 @@ def fit(problem, config=None):
         jac = jac_vec(vec, x)
         if not unit_sigma:
             jac = jac / sigma[:, None]
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise NonFiniteValueError("jacobian is non-finite at the current parameters")
         grad = jac.T @ fvec  # half the chi2 gradient
-        if chi2 == 0.0 or not np.any(grad):
+        if chi2 == 0.0 or not grad.any():
             termination = CONVERGED
             break
         ata = jac.T @ jac
-        # per-parameter scale: unit-diagonal (equilibrated) variables tame the
-        # column-norm spread of index-abscissa fits
-        dscale = np.sqrt(np.diag(ata))
-        dscale[~(dscale > 0)] = 1.0
 
         accepted = None  # (vec, fvec, chi2)
         if config.algorithm == GAUSS_NEWTON:
@@ -322,22 +320,24 @@ def fit(problem, config=None):
         elif config.algorithm == LEVENBERG_MARQUARDT:
             if mu is None:
                 mu = config.initial_mu  # relative to diag(J'J), i.e. mu*I when equilibrated
-            damp = np.diag(ata).copy()
-            damp[~(damp > 0)] = float(np.max(damp)) * 1e-14 + 1e-300
-            rows = np.arange(p)
+            damp = ata.diagonal().copy()
+            if not (damp > 0).all():
+                damp[~(damp > 0)] = float(damp.max()) * 1e-14 + 1e-300
+            neg_grad = -grad
             while True:
                 damped = ata.copy()
-                damped[rows, rows] += mu * damp
-                d = _solve_normal(damped, -grad, False)
-                if np.linalg.norm(d) < config.min_step_norm:
+                damped.reshape(-1)[:: p + 1] += mu * damp  # the diagonal, in place
+                d = _solve_normal(damped, neg_grad, False)
+                if math.sqrt(d @ d) < config.min_step_norm:
                     # stagnant step: counts as a zero-change iteration
                     accepted = (vec, fvec, chi2)
                     break
-                ft = try_residuals(vec + d)
+                trial = vec + d  # the vector evaluated is the one accepted
+                ft = try_residuals(trial)
                 c = float(ft @ ft) if ft is not None else np.inf
                 if c <= chi2:
                     mu *= config.mu_decrease
-                    accepted = (vec + d, ft, c)
+                    accepted = (trial, ft, c)
                     break
                 mu *= config.mu_increase
                 if mu > _MU_CEILING:
@@ -347,6 +347,10 @@ def fit(problem, config=None):
                 break
 
         else:  # trust region: dogleg in the equilibrated variables
+            # per-parameter scale: unit-diagonal (equilibrated) variables tame
+            # the column-norm spread of index-abscissa fits
+            dscale = np.sqrt(np.diag(ata))
+            dscale[~(dscale > 0)] = 1.0
             ah = ata / np.outer(dscale, dscale)
             gh = grad / dscale
             try:
@@ -361,8 +365,8 @@ def fit(problem, config=None):
                 if znorm < config.min_step_norm:
                     termination = STEP_TOO_SMALL
                     break
-                d = z / dscale
-                ft = try_residuals(vec + d)
+                trial = vec + z / dscale
+                ft = try_residuals(trial)
                 c = float(ft @ ft) if ft is not None else np.inf
                 predicted = -(2.0 * float(gh @ z) + float(z @ ah @ z))
                 rho = (chi2 - c) / predicted if predicted > 0 else -np.inf
@@ -371,7 +375,7 @@ def fit(problem, config=None):
                 elif rho > 0.75 and znorm >= 0.99 * radius:
                     radius = 2.0 * radius
                 if c <= chi2:
-                    accepted = (vec + d, ft, c)
+                    accepted = (trial, ft, c)
                     break
             if accepted is None:
                 break

@@ -160,6 +160,60 @@ class TestEvalCommand:
         assert outs[0] == outs[1]
 
 
+    def test_rerun_keeps_max_iterations(self, data_dir, tmp_path):
+        first = tmp_path / "first"
+        code = run_cli(
+            ["eval", "--root", data_dir, "--out", first, "--seed", "7", "--terms", "3",
+             "--max-iterations", "3", "--jobs", "1"]
+        )
+        assert code == 0
+        second = tmp_path / "second"
+        assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
+        name = "roc_fitted.csv"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_rerun_keeps_config_file_only_keys(self, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"per-segment-fit": True, "segments": 4, "timestamp-degree": 2})
+        )
+        first = tmp_path / "first"
+        code = run_cli(
+            ["eval", "--root", data_dir, "--out", first, "--config", config,
+             "--max-iterations", "3", "--jobs", "1"]
+        )
+        assert code == 0
+        recorded = json.loads((first / "manifest.json").read_text())["config"]
+        assert (recorded["per-segment-fit"], recorded["segments"],
+                recorded["timestamp-degree"], recorded["max-iterations"]) == (True, 4, 2, 3)
+        second = tmp_path / "second"
+        assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
+        name = "roc_fitted.csv"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+class TestRerun:
+    def test_fit_and_rank_replay(self, data_dir, tmp_path):
+        for command, extra, output in (
+            ("fit", ["--family", "polynomial", "--terms", "2", "--trace"], "fit.json"),
+            ("rank", ["--candidates", "sinusoidal,parabolic", "--segment-size", "30"],
+             "ranking.csv"),
+        ):
+            first, second = tmp_path / command / "a", tmp_path / command / "b"
+            code = run_cli(
+                [command, "--file", data_dir / "U1S2.TXT", "--channel", "2", *extra,
+                 "--out", first]
+            )
+            assert code == 0
+            assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
+            assert (second / output).read_bytes() == (first / output).read_bytes()
+
+    def test_unknown_command_exits_2(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "nope", "config": {}}))
+        assert run_cli(["rerun", manifest]) == 2
+
+
 class TestDatasetRootFallback:
     def test_env_var_supplies_root(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SIGFIT_DATA_ROOT", str(data_dir))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sigfit import models
+from sigfit import _kernels, models
 from sigfit.errors import DomainError, InvalidParamsError, TooFewPointsError
 from tests.conftest import make_series
 
@@ -141,6 +141,63 @@ class TestJacobian:
                 worst[name] = max(worst.get(name, 0.0), err)
         for family, err in worst.items():
             assert err <= 1e-5, f"{family}: max relative error {err:.3g}"
+
+
+def _sumsines_jac_reference(x, p):
+    """The Jacobian computed from scratch, as the kernel did before its memo."""
+    a = p[0::3]
+    arg = np.outer(x, p[1::3]) + p[2::3]
+    s = np.sin(arg)
+    c = np.cos(arg)
+    jac = np.empty((x.shape[0], p.shape[0]))
+    jac[:, 0::3] = s
+    jac[:, 1::3] = a * c * x[:, None]
+    jac[:, 2::3] = a * c
+    return jac
+
+
+class TestSumOfSinesMemo:
+    """The numpy kernels reuse the sines of the last evaluated point."""
+
+    @staticmethod
+    def _point():
+        rng = np.random.default_rng(11)
+        x = np.arange(300.0)
+        p = np.column_stack(
+            [rng.uniform(100, 900, 11), rng.uniform(0.005, 0.3, 11), rng.uniform(-3, 3, 11)]
+        ).ravel()
+        return x, p
+
+    def test_jacobian_after_eval_is_bit_identical_to_fresh(self):
+        x, p = self._point()
+        f = _kernels.sumsines_eval_numpy(x, p)
+        memo = _kernels._sines_memo
+        jac = _kernels.sumsines_jac_numpy(x, p)
+        assert _kernels._sines_memo is memo  # the Jacobian took the memo
+        np.testing.assert_array_equal(jac, _sumsines_jac_reference(x, p))
+        again = _kernels.sumsines_eval_numpy(x.copy(), p.copy())  # equal values hit too
+        assert _kernels._sines_memo is memo
+        np.testing.assert_array_equal(again, f)
+        arg = np.outer(x, p[1::3]) + p[2::3]
+        np.testing.assert_array_equal(f, np.sin(arg) @ p[0::3])
+
+    def test_in_place_mutation_of_p_recomputes(self):
+        x, p = self._point()
+        _kernels.sumsines_eval_numpy(x, p)
+        p[4] += 0.01  # a frequency, changed under the memo's feet
+        jac = _kernels.sumsines_jac_numpy(x, p)
+        np.testing.assert_array_equal(jac, _sumsines_jac_reference(x, p))
+        np.testing.assert_array_equal(_kernels._sines_memo[1], p)
+
+    def test_in_place_mutation_of_x_recomputes(self):
+        x, p = self._point()
+        _kernels.sumsines_eval_numpy(x, p)
+        x *= 0.5
+        f = _kernels.sumsines_eval_numpy(x, p)
+        np.testing.assert_array_equal(f, np.sin(np.outer(x, p[1::3]) + p[2::3]) @ p[0::3])
+        np.testing.assert_array_equal(
+            _kernels.sumsines_jac_numpy(x, p), _sumsines_jac_reference(x, p)
+        )
 
 
 class TestInitialGuess:

@@ -1,8 +1,21 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from sigfit import ingest, models, pipeline, solver
+from sigfit import _blas, ingest, models, pipeline, solver
 from sigfit.errors import SigfitError
+
+TINY = pipeline.PipelineConfig(
+    n_terms=2, channels=(1,), timestamp_channel=None,
+    solver=solver.SolverConfig(max_iterations=20),
+)
+_preprocess_sample = pipeline.preprocess_sample
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see a patched pipeline only when forked",
+)
 
 
 def _sample_from_channel(values, user_id="u", sample_index=1):
@@ -77,6 +90,32 @@ class TestPreprocessSample:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestBatchIsolation:
+    def test_repeated_timestamp_fails_only_its_sample(self):
+        values = 5000.0 + 800.0 * np.sin(0.13 * np.arange(60.0))
+        good = _sample_from_channel(values, sample_index=1)
+        bad = _sample_from_channel(values, sample_index=2)
+        bad.data[5, 2] = bad.data[4, 2]
+        config = dataclasses.replace(TINY, abscissa="timestamp")
+        batch = pipeline.uniformize_dataset([good, bad], config)
+        assert [len(v) for v in batch.vectors] == [6, 6]
+        np.testing.assert_array_equal(batch.vectors[1].values, 0.0)
+        good_entry, bad_entry = batch.report["samples"]
+        assert good_entry["failed_channels"] == []
+        assert bad_entry["failed_channels"] == [1]
+        assert "strictly increasing" in bad_entry["channels"][0]["error"]
+
+    def test_any_exception_fails_only_its_channel(self, monkeypatch):
+        def broken(series, channel, config):
+            raise ValueError("not a sigfit error")
+
+        monkeypatch.setattr(pipeline, "_whole_channel_block", broken)
+        sample = _sample_from_channel(np.arange(60.0))
+        vec = pipeline.preprocess_sample(sample, TINY)
+        np.testing.assert_array_equal(vec.values, 0.0)
+        assert vec.channel_fits[0].error == "ValueError: not a sigfit error"
+
+
 class TestPerSegmentMode:
     def test_default_segment_mode_length_matches(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True)
@@ -129,6 +168,68 @@ class TestUniformizeDataset:
         parallel = pipeline.uniformize_dataset(subset, config, jobs=2)
         for a, b in zip(serial.vectors, parallel.vectors):
             np.testing.assert_array_equal(a.values, b.values)
+
+
+def _threads_as_user_id(sample, config):
+    """preprocess_sample that reports the BLAS thread count it ran with."""
+    vec = _preprocess_sample(sample, config)
+    return dataclasses.replace(vec, user_id=str(_blas.get_threads()))
+
+
+def _raise_in_fit(sample, config):
+    raise RuntimeError("fit exploded")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs 2 BLAS threads, so a leaked 1 would show."""
+    before = _blas.get_threads()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread control")
+    _blas.set_threads(2)
+    yield
+    _blas.set_threads(before)
+
+
+class TestBlasThreads:
+    def test_serial_fits_on_one_thread_and_restores(self, two_blas_threads, monkeypatch,
+                                                     small_dataset):
+        monkeypatch.setattr(pipeline, "preprocess_sample", _threads_as_user_id)
+        batch = pipeline.uniformize_dataset(small_dataset[:2], TINY, jobs=1)
+        assert [v.user_id for v in batch.vectors] == ["1", "1"]
+        assert (batch.report["blas_threads"], batch.report["jobs"]) == (1, 1)
+        assert _blas.get_threads() == 2
+
+    @needs_fork
+    def test_pool_fits_on_one_thread_and_restores(self, two_blas_threads, monkeypatch,
+                                                   small_dataset):
+        monkeypatch.setattr(pipeline, "preprocess_sample", _threads_as_user_id)
+        batch = pipeline.uniformize_dataset(small_dataset[:5], TINY, jobs=2)
+        assert [v.user_id for v in batch.vectors] == ["1"] * 5
+        assert (batch.report["blas_threads"], batch.report["jobs"]) == (1, 2)
+        assert _blas.get_threads() == 2
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_restored_when_a_fit_raises(self, two_blas_threads, monkeypatch, small_dataset,
+                                        jobs):
+        monkeypatch.setattr(pipeline, "preprocess_sample", _raise_in_fit)
+        with pytest.raises(RuntimeError, match="fit exploded"):
+            pipeline.uniformize_dataset(small_dataset[:3], TINY, jobs=jobs)
+        assert _blas.get_threads() == 2
+
+    def test_without_thread_control_still_fits(self, monkeypatch, small_dataset):
+        subset = small_dataset[:3]
+        expected = pipeline.uniformize_dataset(subset, TINY, jobs=1)
+        monkeypatch.setattr(_blas, "_controls", lambda: None)
+        for jobs in (1, 2):
+            batch = pipeline.uniformize_dataset(subset, TINY, jobs=jobs)
+            assert batch.report["blas_threads"] is None
+            for a, b in zip(expected.vectors, batch.vectors):
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_one_sample_runs_serially(self, small_dataset):
+        batch = pipeline.uniformize_dataset(small_dataset[:1], TINY, jobs=4)
+        assert batch.report["jobs"] == 1
 
 
 class TestRuntimeProbe:

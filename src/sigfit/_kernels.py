@@ -1,11 +1,8 @@
-"""Hot numerical kernels: model values and Jacobians.
+"""Hot numerical kernels: model values and Jacobians, vectorized numpy.
 
-Two interchangeable backends. The default compiles the loop kernels with
-numba's ``@njit`` (cached to disk); setting ``SIGFIT_DISABLE_NUMBA=1`` in
-the environment, or a missing numba install, selects the vectorized
-pure-numpy path instead. ``BACKEND`` records which one is active. Both
-implementations stay importable (``*_numpy`` names and the ``numba_impls``
-dict) so tests and benchmarks can compare them directly.
+Callers look each kernel up on this module at call time, so a wrapper set
+on a name (a tracer, a counting test double) sees every call. The
+sum-of-sines pair shares a one-slot memo of the last point's sines.
 
 Parameter packing conventions (one flat float64 vector per family):
 
@@ -15,11 +12,9 @@ Parameter packing conventions (one flat float64 vector per family):
 * weibull        ``[gamma, mu, alpha, amp]``
 """
 
-import math
-import os
-
 import numpy as np
 
+BACKEND = "numpy"
 
 # One-slot memo of the latest sum-of-sines point: copies of (x, p), then
 # arg = outer(x, B) + C and sin(arg). A solver evaluates a trial point and,
@@ -46,11 +41,11 @@ def _sines(x, p):
     return arg, s
 
 
-def sumsines_eval_numpy(x, p):
+def sumsines_eval(x, p):
     return _sines(x, p)[1] @ p[0::3]
 
 
-def sumsines_jac_numpy(x, p):
+def sumsines_jac(x, p):
     n = p.shape[0] // 3
     arg, s = _sines(x, p)
     ac = p[0::3] * np.cos(arg)
@@ -61,14 +56,14 @@ def sumsines_jac_numpy(x, p):
     return jac
 
 
-def fourier_eval_numpy(x, p):
+def fourier_eval(x, p):
     n = (p.shape[0] - 2) // 2
     w = p[-1]
     harmonics = np.outer(x, w * np.arange(1, n + 1))
     return p[0] + np.cos(harmonics) @ p[1:-1:2] + np.sin(harmonics) @ p[2:-1:2]
 
 
-def fourier_jac_numpy(x, p):
+def fourier_jac(x, p):
     n = (p.shape[0] - 2) // 2
     w = p[-1]
     i = np.arange(1, n + 1)
@@ -84,11 +79,11 @@ def fourier_jac_numpy(x, p):
     return jac
 
 
-def horner_eval_numpy(x, coeffs):
+def horner_eval(x, coeffs):
     return np.polyval(coeffs, x)
 
 
-def weibull_eval_numpy(x, p):
+def weibull_eval(x, p):
     g, mu, alpha, amp = p[0], p[1], p[2], p[3]
     out = np.zeros(x.shape[0])
     z = (x - mu) / alpha
@@ -108,7 +103,7 @@ def weibull_eval_numpy(x, p):
     return out
 
 
-def weibull_jac_numpy(x, p):
+def weibull_jac(x, p):
     g, mu, alpha, amp = p[0], p[1], p[2], p[3]
     jac = np.zeros((x.shape[0], 4))
     z = (x - mu) / alpha
@@ -124,279 +119,3 @@ def weibull_jac_numpy(x, p):
         jac[pos, 2] = -f * g * (1.0 - t) / alpha
         jac[pos, 3] = base
     return jac
-
-
-_numpy_impls = {
-    "sumsines_eval": sumsines_eval_numpy,
-    "sumsines_jac": sumsines_jac_numpy,
-    "fourier_eval": fourier_eval_numpy,
-    "fourier_jac": fourier_jac_numpy,
-    "horner_eval": horner_eval_numpy,
-    "weibull_eval": weibull_eval_numpy,
-    "weibull_jac": weibull_jac_numpy,
-}
-
-numba_impls = {}
-
-_disabled = os.environ.get("SIGFIT_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-if not _disabled:
-    try:
-        from numba import njit
-    except ImportError:
-        _disabled = True
-
-if not _disabled:
-
-    @njit(cache=True)
-    def _sumsines_eval_nb(x, p):
-        n = p.shape[0] // 3
-        out = np.empty(x.shape[0])
-        for j in range(x.shape[0]):
-            acc = 0.0
-            for t in range(n):
-                acc += p[3 * t] * math.sin(p[3 * t + 1] * x[j] + p[3 * t + 2])
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _sumsines_jac_nb(x, p):
-        n = p.shape[0] // 3
-        jac = np.empty((x.shape[0], 3 * n))
-        for j in range(x.shape[0]):
-            for t in range(n):
-                arg = p[3 * t + 1] * x[j] + p[3 * t + 2]
-                c = math.cos(arg)
-                jac[j, 3 * t] = math.sin(arg)
-                jac[j, 3 * t + 1] = p[3 * t] * c * x[j]
-                jac[j, 3 * t + 2] = p[3 * t] * c
-        return jac
-
-    @njit(cache=True)
-    def _fourier_eval_nb(x, p):
-        n = (p.shape[0] - 2) // 2
-        w = p[-1]
-        out = np.empty(x.shape[0])
-        for j in range(x.shape[0]):
-            acc = p[0]
-            for i in range(1, n + 1):
-                arg = i * w * x[j]
-                acc += p[2 * i - 1] * math.cos(arg) + p[2 * i] * math.sin(arg)
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _fourier_jac_nb(x, p):
-        n = (p.shape[0] - 2) // 2
-        w = p[-1]
-        jac = np.empty((x.shape[0], 2 * n + 2))
-        for j in range(x.shape[0]):
-            jac[j, 0] = 1.0
-            dw = 0.0
-            for i in range(1, n + 1):
-                arg = i * w * x[j]
-                c = math.cos(arg)
-                s = math.sin(arg)
-                jac[j, 2 * i - 1] = c
-                jac[j, 2 * i] = s
-                dw += i * x[j] * (p[2 * i] * c - p[2 * i - 1] * s)
-            jac[j, 2 * n + 1] = dw
-        return jac
-
-    @njit(cache=True)
-    def _horner_eval_nb(x, coeffs):
-        out = np.empty(x.shape[0])
-        for j in range(x.shape[0]):
-            acc = coeffs[0]
-            for k in range(1, coeffs.shape[0]):
-                acc = acc * x[j] + coeffs[k]
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _weibull_eval_nb(x, p):
-        g, mu, alpha, amp = p[0], p[1], p[2], p[3]
-        out = np.zeros(x.shape[0])
-        for j in range(x.shape[0]):
-            z = (x[j] - mu) / alpha
-            if z > 0.0:
-                logz = math.log(z)
-                t = math.exp(g * logz)
-                out[j] = amp * (g / alpha) * math.exp((g - 1.0) * logz - t)
-            elif z == 0.0:
-                if g > 1.0:
-                    out[j] = 0.0
-                elif g == 1.0:
-                    out[j] = amp / alpha
-                else:
-                    out[j] = np.inf
-        return out
-
-    @njit(cache=True)
-    def _weibull_jac_nb(x, p):
-        g, mu, alpha, amp = p[0], p[1], p[2], p[3]
-        jac = np.zeros((x.shape[0], 4))
-        for j in range(x.shape[0]):
-            z = (x[j] - mu) / alpha
-            if z > 0.0:
-                logz = math.log(z)
-                t = math.exp(g * logz)
-                base = (g / alpha) * math.exp((g - 1.0) * logz - t)
-                f = amp * base
-                jac[j, 0] = f * (1.0 / g + logz * (1.0 - t))
-                jac[j, 1] = f * (g * t - (g - 1.0)) / (alpha * z)
-                jac[j, 2] = -f * g * (1.0 - t) / alpha
-                jac[j, 3] = base
-        return jac
-
-    @njit(cache=True)
-    def _cholesky_solve(a, b):
-        """Solve PD system a x = b in place; returns (x, ok)."""
-        p = a.shape[0]
-        chol = np.zeros((p, p))
-        for i in range(p):
-            for j in range(i + 1):
-                acc = a[i, j]
-                for k in range(j):
-                    acc -= chol[i, k] * chol[j, k]
-                if i == j:
-                    if acc <= 0.0:
-                        return b, False
-                    chol[i, i] = math.sqrt(acc)
-                else:
-                    chol[i, j] = acc / chol[j, j]
-        x = b.copy()
-        for i in range(p):  # forward: L z = b
-            acc = x[i]
-            for k in range(i):
-                acc -= chol[i, k] * x[k]
-            x[i] = acc / chol[i, i]
-        for i in range(p - 1, -1, -1):  # backward: L' x = z
-            acc = x[i]
-            for k in range(i + 1, p):
-                acc -= chol[k, i] * x[k]
-            x[i] = acc / chol[i, i]
-        return x, True
-
-    @njit(cache=True)
-    def _sumsines_lm_core_nb(
-        x, y, p0, max_iterations, abs_tol, rel_tol, mu0, mu_up, mu_down, mu_ceiling, min_step
-    ):
-        """Levenberg-Marquardt driver for sum-of-sines with unit weights.
-
-        Mirrors the generic python driver step for step: relative damping in
-        the column-equilibrated variables, accept on non-increase (mu *=
-        mu_down), reject on increase (mu *= mu_up), stagnant steps count as
-        zero-change iterations, convergence after two successive small
-        chi-square changes. Termination codes: 0 converged, 1 max
-        iterations, 3 step too small, 90 non-finite jacobian (caller
-        raises), 99 solver breakdown (caller falls back to python).
-        """
-        p = p0.copy()
-        n_par = p.shape[0]
-        f = _sumsines_eval_nb(x, p)
-        r = f - y
-        chi2 = r @ r
-        trace = np.empty(max_iterations + 1)
-        trace[0] = chi2
-        n_trace = 1
-        mu = mu0
-        small = 0
-        term = 1
-        iterations = 0
-        for _ in range(max_iterations):
-            jac = _sumsines_jac_nb(x, p)
-            if not np.all(np.isfinite(jac)):
-                return p, chi2, iterations, 90, trace, n_trace
-            grad = jac.T @ r
-            if chi2 == 0.0 or not np.any(grad != 0.0):
-                term = 0
-                break
-            ata = jac.T @ jac
-            damp = np.empty(n_par)
-            dmax = 0.0
-            for i in range(n_par):
-                damp[i] = ata[i, i]
-                if ata[i, i] > dmax:
-                    dmax = ata[i, i]
-            for i in range(n_par):
-                if damp[i] <= 0.0:
-                    damp[i] = dmax * 1e-14 + 1e-300
-            accepted = False
-            new_chi2 = chi2
-            while True:
-                a = ata.copy()
-                for i in range(n_par):
-                    a[i, i] += mu * damp[i]
-                scale = np.empty(n_par)
-                for i in range(n_par):
-                    scale[i] = math.sqrt(a[i, i]) if a[i, i] > 0.0 else 1.0
-                for i in range(n_par):
-                    for j in range(n_par):
-                        a[i, j] /= scale[i] * scale[j]
-                b = np.empty(n_par)
-                for i in range(n_par):
-                    b[i] = -grad[i] / scale[i]
-                z, ok = _cholesky_solve(a, b)
-                if not ok:
-                    return p, chi2, iterations, 99, trace, n_trace
-                d = z / scale
-                dnorm = math.sqrt(d @ d)
-                if dnorm < min_step:
-                    accepted = True  # stagnant: zero-change iteration
-                    break
-                trial = p + d
-                ft = _sumsines_eval_nb(x, trial)
-                rt = ft - y
-                c = rt @ rt
-                if np.isfinite(c) and c <= chi2:
-                    mu *= mu_down
-                    p = trial
-                    r = rt
-                    new_chi2 = c
-                    accepted = True
-                    break
-                mu *= mu_up
-                if mu > mu_ceiling:
-                    term = 3
-                    break
-            if not accepted:
-                break
-            delta = chi2 - new_chi2
-            chi2 = new_chi2
-            iterations += 1
-            trace[n_trace] = chi2
-            n_trace += 1
-            if delta <= abs_tol + rel_tol * chi2:
-                small += 1
-                if small >= 2:
-                    term = 0
-                    break
-            else:
-                small = 0
-        return p, chi2, iterations, term, trace, n_trace
-
-    numba_impls = {
-        "sumsines_eval": _sumsines_eval_nb,
-        "sumsines_jac": _sumsines_jac_nb,
-        "fourier_eval": _fourier_eval_nb,
-        "fourier_jac": _fourier_jac_nb,
-        "horner_eval": _horner_eval_nb,
-        "weibull_eval": _weibull_eval_nb,
-        "weibull_jac": _weibull_jac_nb,
-        "sumsines_lm_core": _sumsines_lm_core_nb,
-    }
-
-BACKEND = "numpy" if _disabled else "numba"
-_active = _numpy_impls if _disabled else numba_impls
-
-sumsines_eval = _active["sumsines_eval"]
-sumsines_jac = _active["sumsines_jac"]
-fourier_eval = _active["fourier_eval"]
-fourier_jac = _active["fourier_jac"]
-horner_eval = _active["horner_eval"]
-weibull_eval = _active["weibull_eval"]
-weibull_jac = _active["weibull_jac"]
-# the compiled LM driver has no numpy twin; the generic python driver in
-# sigfit.solver is its fallback path
-sumsines_lm_core = numba_impls.get("sumsines_lm_core")

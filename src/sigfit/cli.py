@@ -98,7 +98,6 @@ def _pipeline_config(args, file_config):
         n_terms=int(_resolve(args, file_config, "terms", 11)),
         timestamp_channel=timestamp_channel if timestamp_channel > 0 else None,
         timestamp_degree=int(_resolve(args, file_config, "timestamp-degree", 1)),
-        segment_size=int(_resolve(args, file_config, "segment-size", 20)),
         solver=solver_cfg,
         abscissa=_resolve(args, file_config, "abscissa", "index"),
         per_segment_fit=bool(_resolve(args, file_config, "per-segment-fit", False)),
@@ -236,7 +235,6 @@ def cmd_preprocess(args):
         "terms": config.n_terms,
         "timestamp-channel": config.timestamp_channel or 0,
         "timestamp-degree": config.timestamp_degree,
-        "segment-size": config.segment_size,
         "abscissa": config.abscissa,
         "per-segment-fit": config.per_segment_fit,
         "segments": config.n_segments,
@@ -378,7 +376,6 @@ def _build_parser():
     p_pre.add_argument("--terms", type=int, default=None)
     p_pre.add_argument("--timestamp-channel", type=int, default=None)
     p_pre.add_argument("--timestamp-degree", type=int, default=None)
-    p_pre.add_argument("--segment-size", type=int, default=None)
     p_pre.add_argument("--abscissa", default=None, choices=("index", "timestamp"))
     p_pre.add_argument("--per-segment-fit", action="store_true", default=None)
     p_pre.add_argument("--segments", type=int, default=None)

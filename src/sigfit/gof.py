@@ -28,6 +28,22 @@ class GofReport:
     degenerate_variance: bool = False  # SST == 0: R-squared undefined
 
 
+def fit_statistics(y, f, n_params):
+    """(SSE, SST, R-squared, RMSE) of model values ``f`` against data ``y``.
+
+    Array-level, so stitched per-part predictions score like one fit.
+    R-squared is NaN when SST is 0; RMSE is NaN when N <= ``n_params``.
+    """
+    resid = y - f
+    sse = float(resid @ resid)
+    centered = y - np.mean(y)
+    sst = float(centered @ centered)
+    dof = len(y) - n_params
+    rmse = float(np.sqrt(sse / dof)) if dof > 0 else np.nan
+    r2 = 1.0 - sse / sst if sst > 0 else np.nan
+    return sse, sst, r2, rmse
+
+
 def gof_report(series, params):
     """Statistics of one fitted parameter set against its series."""
     y = np.asarray(series.ordinate, dtype=float)
@@ -38,14 +54,9 @@ def gof_report(series, params):
     p = params.n_params
     if n <= p:
         raise TooFewPointsError(f"need more points ({n}) than parameters ({p})")
-    resid = y - f
-    sse = float(resid @ resid)
-    centered = y - np.mean(y)
-    sst = float(centered @ centered)
-    rmse = float(np.sqrt(sse / (n - p)))
+    sse, sst, r2, rmse = fit_statistics(y, f, p)
     if sst == 0.0:
         return GofReport(sse, np.nan, np.nan, rmse, n, p, degenerate_variance=True)
-    r2 = 1.0 - sse / sst
     if n - p - 1 > 0:
         adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
     else:

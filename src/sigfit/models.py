@@ -1,9 +1,10 @@
 """Curve model families: evaluation, analytic Jacobians, initial guesses.
 
 Every family is a frozen dataclass exposing the same small surface:
-``family`` tag, ``n_params``, ``param_vector()`` and ``with_vector()``.
-Free functions (``evaluate``, ``jacobian``, ``initial_guess``) dispatch on
-the family so solver code never special-cases model types.
+``family`` tag, ``n_params``, ``param_vector()``, ``from_vector()`` /
+``with_vector()``, ``validate()``, and the raw-vector trio ``eval_vec``,
+``jac_vec`` and ``feasible``. ``evaluate`` and ``jacobian`` validate and
+make one method call, so solver code never special-cases model types.
 
 Canonical parameter orders (frozen; feature-vector layout depends on them):
 
@@ -30,8 +31,36 @@ from . import _kernels
 from .errors import DomainError, InvalidParamsError, TooFewPointsError
 
 
+class _Family:
+    """What every family shares: rebuild from a flat vector, feasibility.
+
+    Each family adds ``eval_vec(v, x)`` and ``jac_vec(v, x)``: values and
+    Jacobian at a raw parameter vector ``v`` in canonical order, without a
+    dataclass rebuild. ``feasible(v)`` is the cheap invariant check the
+    solver uses to reject trial steps without exceptions; it is true
+    exactly when ``with_vector(v).validate()`` passes.
+    """
+
+    @classmethod
+    def from_vector(cls, vec):
+        return cls(*(float(v) for v in vec))
+
+    def with_vector(self, vec):
+        return self.from_vector(vec)
+
+    def validate(self):
+        """Raise InvalidParamsError on a broken invariant; none by default."""
+
+    def feasible(self, v):
+        try:
+            self.with_vector(v).validate()
+        except InvalidParamsError:
+            return False
+        return True
+
+
 @dataclass(frozen=True)
-class SumOfSines:
+class SumOfSines(_Family):
     """f(x) = sum_i A_i * sin(B_i * x + C_i)."""
 
     terms: tuple  # of (amplitude, angular_frequency, phase)
@@ -49,10 +78,10 @@ class SumOfSines:
     def param_vector(self):
         return np.asarray([v for t in self.terms for v in t], dtype=float)
 
-    def with_vector(self, vec):
+    @classmethod
+    def from_vector(cls, vec):
         vec = np.asarray(vec, dtype=float)
-        terms = tuple((vec[3 * i], vec[3 * i + 1], vec[3 * i + 2]) for i in range(len(vec) // 3))
-        return SumOfSines(terms)
+        return cls(tuple((vec[3 * i], vec[3 * i + 1], vec[3 * i + 2]) for i in range(len(vec) // 3)))
 
     def validate(self):
         if len(self.terms) < 1:
@@ -60,9 +89,18 @@ class SumOfSines:
         if any(len(t) != 3 for t in self.terms):
             raise InvalidParamsError("each sum-of-sines term is (amplitude, frequency, phase)")
 
+    def feasible(self, v):
+        return v.size >= 3
+
+    def eval_vec(self, v, x):
+        return _kernels.sumsines_eval(x, v)
+
+    def jac_vec(self, v, x):
+        return _kernels.sumsines_jac(x, v)
+
 
 @dataclass(frozen=True)
-class Fourier:
+class Fourier(_Family):
     """f(x) = a0 + sum_i a_i*cos(i*omega*x) + b_i*sin(i*omega*x).
 
     ``omega`` is the fundamental frequency, fitted by default; with
@@ -106,15 +144,24 @@ class Fourier:
         if any(len(t) != 2 for t in self.terms):
             raise InvalidParamsError("each fourier term is (a_i, b_i)")
 
-    def packed(self):
+    def feasible(self, v):
+        return v.size >= (3 if self.fixed_omega else 4)
+
+    def packed(self, vec=None):
         """Kernel layout [a0, a1, b1, ..., an, bn, omega], always with omega."""
-        return np.asarray(
-            [self.a0] + [v for t in self.terms for v in t] + [self.omega], dtype=float
-        )
+        vec = self.param_vector() if vec is None else vec
+        return np.append(vec, self.omega) if self.fixed_omega else vec
+
+    def eval_vec(self, v, x):
+        return _kernels.fourier_eval(x, self.packed(v))
+
+    def jac_vec(self, v, x):
+        jac = _kernels.fourier_jac(x, self.packed(v))
+        return jac[:, :-1] if self.fixed_omega else jac
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Family):
     """f(x) = c_1*x^k + ... + c_k*x + c_{k+1}, coefficients descending.
 
     Discretized polynomial curves pair f with a band 0 <= y - f(x) <= w of
@@ -136,8 +183,9 @@ class Polynomial:
     def param_vector(self):
         return np.asarray(self.coeffs, dtype=float)
 
-    def with_vector(self, vec):
-        return Polynomial(tuple(float(v) for v in vec))
+    @classmethod
+    def from_vector(cls, vec):
+        return cls(tuple(float(v) for v in vec))
 
     def validate(self):
         if len(self.coeffs) < 1:
@@ -145,9 +193,19 @@ class Polynomial:
         if len(self.coeffs) > 1 and self.coeffs[0] == 0:
             raise InvalidParamsError("leading coefficient must be nonzero for degree > 0")
 
+    def feasible(self, v):
+        return v.size == 1 or v.size > 1 and v[0] != 0.0
+
+    def eval_vec(self, v, x):
+        return _kernels.horner_eval(x, v)
+
+    def jac_vec(self, v, x):
+        # row i = [x_i^k, ..., x_i, 1]
+        return np.vander(x, N=v.size, increasing=False)
+
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_Family):
     """Weibull density with location and an amplitude multiplier.
 
     f(x) = amp * (gamma/alpha) * z^(gamma-1) * exp(-z^gamma), z = (x-mu)/alpha,
@@ -165,16 +223,22 @@ class Weibull:
     def param_vector(self):
         return np.asarray([self.gamma, self.mu, self.alpha, self.amp], dtype=float)
 
-    def with_vector(self, vec):
-        return Weibull(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]))
-
     def validate(self):
         if not (self.gamma > 0 and self.alpha > 0):
             raise InvalidParamsError("weibull requires gamma > 0 and alpha > 0")
 
+    def feasible(self, v):
+        return v[0] > 0.0 and v[2] > 0.0
+
+    def eval_vec(self, v, x):
+        return _kernels.weibull_eval(x, v)
+
+    def jac_vec(self, v, x):
+        return _kernels.weibull_jac(x, v)
+
 
 @dataclass(frozen=True)
-class Weibull2:
+class Weibull2(_Family):
     """Two-parameter Weibull in survival form: F(t) = exp(-(lam*t)^beta)."""
 
     beta: float
@@ -186,16 +250,35 @@ class Weibull2:
     def param_vector(self):
         return np.asarray([self.beta, self.lam], dtype=float)
 
-    def with_vector(self, vec):
-        return Weibull2(float(vec[0]), float(vec[1]))
-
     def validate(self):
         if not (self.beta > 0 and self.lam > 0):
             raise InvalidParamsError("weibull2 requires beta > 0 and lam > 0")
 
+    @staticmethod
+    def _scaled(v, x):
+        t = v[1] * x
+        if np.any(t < 0):
+            raise DomainError("weibull2 survival defined for t >= 0")
+        return t
+
+    def eval_vec(self, v, x):
+        return np.exp(-(self._scaled(v, x) ** v[0]))
+
+    def jac_vec(self, v, x):
+        beta, lam = v[0], v[1]
+        t = self._scaled(v, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tb = t**beta
+            f = np.exp(-tb)
+            jac = np.zeros((x.size, 2))
+            pos = t > 0
+            jac[pos, 0] = -f[pos] * tb[pos] * np.log(t[pos])
+            jac[pos, 1] = -f[pos] * beta * tb[pos] / lam
+        return jac
+
 
 @dataclass(frozen=True)
-class Parabola:
+class Parabola(_Family):
     """Real branch of y^2 = 4ax, i.e. y = 2*sqrt(a*x)."""
 
     a: float
@@ -206,15 +289,25 @@ class Parabola:
     def param_vector(self):
         return np.asarray([self.a], dtype=float)
 
-    def with_vector(self, vec):
-        return Parabola(float(vec[0]))
+    @staticmethod
+    def _arg(v, x):
+        arg = 4.0 * v[0] * x
+        if np.any(arg < 0):
+            raise DomainError("parabola real branch needs a*x >= 0")
+        return arg
 
-    def validate(self):
-        pass
+    def eval_vec(self, v, x):
+        return np.sqrt(self._arg(v, x))
+
+    def jac_vec(self, v, x):
+        arg = self._arg(v, x)
+        with np.errstate(divide="ignore"):
+            col = np.where(arg > 0, 2.0 * x / np.sqrt(np.where(arg > 0, arg, 1.0)), 0.0)
+        return col[:, None]
 
 
 @dataclass(frozen=True)
-class ScaledExponential:
+class ScaledExponential(_Family):
     """f(x) = scale * exp(rate * x)."""
 
     scale: float
@@ -226,45 +319,47 @@ class ScaledExponential:
     def param_vector(self):
         return np.asarray([self.scale, self.rate], dtype=float)
 
-    def with_vector(self, vec):
-        return ScaledExponential(float(vec[0]), float(vec[1]))
+    def eval_vec(self, v, x):
+        with np.errstate(over="ignore"):
+            return v[0] * np.exp(v[1] * x)
 
-    def validate(self):
-        pass
+    def jac_vec(self, v, x):
+        with np.errstate(over="ignore"):
+            e = np.exp(v[1] * x)
+        return np.column_stack([e, v[0] * x * e])
+
+
+class _FixedCurve(_Family):
+    """A reference curve with nothing to fit."""
+
+    n_params = 0
+
+    def param_vector(self):
+        return np.zeros(0)
+
+    def jac_vec(self, v, x):
+        return np.zeros((x.size, 0))
 
 
 @dataclass(frozen=True)
-class Sine:
+class Sine(_FixedCurve):
     """Fixed reference curve y = sin(x); no parameters."""
 
     family = "sine"
-    n_params = 0
 
-    def param_vector(self):
-        return np.zeros(0)
-
-    def with_vector(self, vec):
-        return self
-
-    def validate(self):
-        pass
+    def eval_vec(self, v, x):
+        return np.sin(x)
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_FixedCurve):
     """Fixed reference curve y = e^x; no parameters."""
 
     family = "exponential"
-    n_params = 0
 
-    def param_vector(self):
-        return np.zeros(0)
-
-    def with_vector(self, vec):
-        return self
-
-    def validate(self):
-        pass
+    def eval_vec(self, v, x):
+        with np.errstate(over="ignore"):
+            return np.exp(x)
 
 
 FAMILIES = {
@@ -293,135 +388,13 @@ def _as_x(abscissa):
 def evaluate(params, abscissa):
     """Pointwise model values f(x_i) for one parameter set."""
     params.validate()
-    x = _as_x(abscissa)
-    if isinstance(params, SumOfSines):
-        return _kernels.sumsines_eval(x, params.param_vector())
-    if isinstance(params, Fourier):
-        return _kernels.fourier_eval(x, params.packed())
-    if isinstance(params, Polynomial):
-        return _kernels.horner_eval(x, params.param_vector())
-    if isinstance(params, Weibull):
-        return _kernels.weibull_eval(x, params.param_vector())
-    if isinstance(params, Weibull2):
-        t = params.lam * x
-        if np.any(t < 0):
-            raise DomainError("weibull2 survival defined for t >= 0")
-        return np.exp(-(t**params.beta))
-    if isinstance(params, Parabola):
-        arg = 4.0 * params.a * x
-        if np.any(arg < 0):
-            raise DomainError("parabola real branch needs a*x >= 0")
-        return np.sqrt(arg)
-    if isinstance(params, ScaledExponential):
-        with np.errstate(over="ignore"):
-            return params.scale * np.exp(params.rate * x)
-    if isinstance(params, Sine):
-        return np.sin(x)
-    if isinstance(params, Exponential):
-        with np.errstate(over="ignore"):
-            return np.exp(x)
-    raise InvalidParamsError(f"unknown model family: {params!r}")
+    return params.eval_vec(params.param_vector(), _as_x(abscissa))
 
 
 def jacobian(params, abscissa):
     """N x P matrix of partials in the family's canonical parameter order."""
     params.validate()
-    x = _as_x(abscissa)
-    if isinstance(params, SumOfSines):
-        return _kernels.sumsines_jac(x, params.param_vector())
-    if isinstance(params, Fourier):
-        full = _kernels.fourier_jac(x, params.packed())
-        return full[:, :-1] if params.fixed_omega else full
-    if isinstance(params, Polynomial):
-        # row i = [x_i^k, ..., x_i, 1]
-        return np.vander(x, N=len(params.coeffs), increasing=False)
-    if isinstance(params, Weibull):
-        return _kernels.weibull_jac(x, params.param_vector())
-    if isinstance(params, Weibull2):
-        t = params.lam * x
-        if np.any(t < 0):
-            raise DomainError("weibull2 survival defined for t >= 0")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            tb = t**params.beta
-            f = np.exp(-tb)
-            jac = np.zeros((x.size, 2))
-            pos = t > 0
-            jac[pos, 0] = -f[pos] * tb[pos] * np.log(t[pos])
-            jac[pos, 1] = -f[pos] * params.beta * tb[pos] / params.lam
-        return jac
-    if isinstance(params, Parabola):
-        arg = 4.0 * params.a * x
-        if np.any(arg < 0):
-            raise DomainError("parabola real branch needs a*x >= 0")
-        with np.errstate(divide="ignore"):
-            col = np.where(arg > 0, 2.0 * x / np.sqrt(np.where(arg > 0, arg, 1.0)), 0.0)
-        return col[:, None]
-    if isinstance(params, ScaledExponential):
-        with np.errstate(over="ignore"):
-            e = np.exp(params.rate * x)
-        return np.column_stack([e, params.scale * x * e])
-    if isinstance(params, (Sine, Exponential)):
-        return np.zeros((x.size, 0))
-    raise InvalidParamsError(f"unknown model family: {params!r}")
-
-
-def vector_funcs(params):
-    """Raw-vector (eval, jac, feasible) callables for solver hot loops.
-
-    ``eval``/``jac`` take (vec, x) and skip per-call dataclass rebuilds;
-    ``feasible`` is the cheap family-invariant check used to reject
-    infeasible trial steps without exceptions. Families without a kernel
-    fast path fall back to the validated ``evaluate``/``jacobian`` pair.
-    """
-    if isinstance(params, SumOfSines):
-        return (
-            lambda v, x: _kernels.sumsines_eval(x, v),
-            lambda v, x: _kernels.sumsines_jac(x, v),
-            lambda v: True,
-        )
-    if isinstance(params, Fourier):
-        if params.fixed_omega:
-            omega = params.omega
-
-            def ev(v, x):
-                return _kernels.fourier_eval(x, np.append(v, omega))
-
-            def ja(v, x):
-                return _kernels.fourier_jac(x, np.append(v, omega))[:, :-1]
-
-            return ev, ja, lambda v: True
-        return (
-            lambda v, x: _kernels.fourier_eval(x, v),
-            lambda v, x: _kernels.fourier_jac(x, v),
-            lambda v: True,
-        )
-    if isinstance(params, Polynomial):
-        return (
-            lambda v, x: _kernels.horner_eval(x, v),
-            lambda v, x: np.vander(x, N=v.size, increasing=False),
-            lambda v: v.size == 1 or v[0] != 0.0,
-        )
-    if isinstance(params, Weibull):
-        return (
-            lambda v, x: _kernels.weibull_eval(x, v),
-            lambda v, x: _kernels.weibull_jac(x, v),
-            lambda v: v[0] > 0.0 and v[2] > 0.0,
-        )
-
-    def ev(v, x):
-        return evaluate(params.with_vector(v), x)
-
-    def ja(v, x):
-        return jacobian(params.with_vector(v), x)
-
-    def feasible(v):
-        try:
-            params.with_vector(v).validate()
-        except InvalidParamsError:
-            return False
-        return True
-
-    return ev, ja, feasible
+    return params.jac_vec(params.param_vector(), _as_x(abscissa))
 
 
 def _require_points(series, n_params):
@@ -680,23 +653,7 @@ def params_from_dict(d):
         n = (len(coeffs) - 2) // 2
         terms = tuple((coeffs[2 * i + 1], coeffs[2 * i + 2]) for i in range(n))
         return Fourier(float(coeffs[0]), terms, float(coeffs[-1]), bool(d.get("fixed_omega", False)))
-    if cls in (Sine, Exponential):
-        return cls()
-    return cls(()).with_vector(coeffs) if cls is SumOfSines else _from_vector(cls, coeffs)
-
-
-def _from_vector(cls, coeffs):
-    if cls is Polynomial:
-        return Polynomial(tuple(float(v) for v in coeffs))
-    if cls is Weibull:
-        return Weibull(*[float(v) for v in coeffs])
-    if cls is Weibull2:
-        return Weibull2(float(coeffs[0]), float(coeffs[1]))
-    if cls is Parabola:
-        return Parabola(float(coeffs[0]))
-    if cls is ScaledExponential:
-        return ScaledExponential(float(coeffs[0]), float(coeffs[1]))
-    raise InvalidParamsError(f"cannot rebuild family {cls!r}")
+    return cls.from_vector(coeffs)
 
 
 def params_to_json(params):

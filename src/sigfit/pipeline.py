@@ -38,7 +38,6 @@ class PipelineConfig:
     timestamp_channel: int | None = 3
     timestamp_family: str = "polynomial"
     timestamp_degree: int = 1
-    segment_size: int = 20
     channels: tuple = tuple(range(1, N_CHANNELS + 1))
     solver: SolverConfig = field(default_factory=SolverConfig)
     abscissa: str = "index"
@@ -186,7 +185,7 @@ def _segmented_block(series, channel, config):
         if result.termination != solver.CONVERGED:
             termination = result.termination
     block = np.concatenate(coeffs)
-    r2, rmse = _stitched_gof(y, predictions, 3 * config.n_segments)
+    _, _, r2, rmse = gof.fit_statistics(y, predictions, 3 * config.n_segments)
     family = ("segmented-" + config.timestamp_family) if timestamp else "segmented-sum-of-sines"
     info = ChannelFit(channel, family, termination, r2, rmse, iterations)
     return block, info
@@ -198,24 +197,14 @@ class _PartSeries:
     ordinate: np.ndarray
 
 
-def _stitched_gof(y, pred, n_params):
-    resid = y - pred
-    sse = float(resid @ resid)
-    centered = y - np.mean(y)
-    sst = float(centered @ centered)
-    dof = len(y) - n_params
-    rmse = float(np.sqrt(sse / dof)) if dof > 0 else np.nan
-    r2 = 1.0 - sse / sst if sst > 0 else np.nan
-    return r2, rmse
-
-
 def preprocess_sample(sample, config=None):
     """Fit every configured channel and pack coefficients per the layout."""
     config = config or PipelineConfig()
     config.validate()
+    layout = config.layout()
     blocks = []
     infos = []
-    for channel in config.channels:
+    for channel, family, _ in layout:
         # any exception, from extraction on, costs this channel only
         try:
             series = extract_channel(sample, channel, config.abscissa)
@@ -226,13 +215,7 @@ def preprocess_sample(sample, config=None):
         except Exception as exc:
             block = np.zeros(config.block_width)
             info = ChannelFit(
-                channel,
-                "sum-of-sines",
-                "failed",
-                np.nan,
-                np.nan,
-                0,
-                error=f"{type(exc).__name__}: {exc}",
+                channel, family, "failed", np.nan, np.nan, 0, error=f"{type(exc).__name__}: {exc}"
             )
         blocks.append(block)
         infos.append(info)
@@ -241,7 +224,7 @@ def preprocess_sample(sample, config=None):
         sample.sample_index,
         sample.label,
         tuple(blocks),
-        config.layout(),
+        layout,
         tuple(infos),
     )
 
@@ -335,7 +318,7 @@ def runtime_scaling_probe(sizes, config=None, repeats=5, max_iterations=12, seed
         series = _PartSeries(x, y)
         guess = models.initial_guess("sum-of-sines", series, 11)
         problem = solver.FitProblem(series, guess)
-        solver.fit(problem, probe_config)  # warmup: JIT and caches
+        solver.fit(problem, probe_config)  # warmup: first-call costs
         reps = []
         for _ in range(max(repeats, 1)):
             t0 = time.perf_counter()

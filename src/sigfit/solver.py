@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, models
+from . import models
 from .errors import (
     DomainError,
     InvalidParamsError,
@@ -245,7 +245,7 @@ def fit(problem, config=None):
     n = len(y)
     if n < p:
         raise TooFewPointsError(f"{n} points cannot constrain {p} parameters")
-    eval_vec, jac_vec, feasible = models.vector_funcs(params)
+    eval_vec, jac_vec, feasible = params.eval_vec, params.jac_vec, params.feasible
 
     def try_residuals(vec):
         """Weighted residuals, or None for infeasible/non-finite trials."""
@@ -267,16 +267,6 @@ def fit(problem, config=None):
 
     if p == 0:
         return FitResult(params, chi2, chi2 / n, 0, CONVERGED, tuple(trace))
-
-    if (
-        config.algorithm == LEVENBERG_MARQUARDT
-        and unit_sigma
-        and isinstance(params, models.SumOfSines)
-        and _kernels.sumsines_lm_core is not None
-    ):
-        fast = _fit_sumsines_lm_fast(params, vec, x, y, n, p, config)
-        if fast is not None:
-            return fast
 
     termination = MAX_ITERATIONS
     iterations = 0
@@ -396,39 +386,6 @@ def fit(problem, config=None):
     out_params = params.with_vector(vec)
     reduced = chi2 / (n - p) if n > p else np.inf
     return FitResult(out_params, chi2, reduced, iterations, termination, tuple(trace))
-
-
-_CORE_TERMINATIONS = {0: CONVERGED, 1: MAX_ITERATIONS, 3: STEP_TOO_SMALL}
-
-
-def _fit_sumsines_lm_fast(params, vec, x, y, n, p, config):
-    """Compiled LM driver for the hottest configuration, or None to fall
-    back to the generic python loop (solver breakdown, non-default needs)."""
-    out_vec, chi2, iterations, code, trace, n_trace = _kernels.sumsines_lm_core(
-        np.ascontiguousarray(x),
-        np.ascontiguousarray(y),
-        np.ascontiguousarray(vec),
-        config.max_iterations,
-        config.chi2_abs_tol,
-        config.chi2_rel_tol,
-        config.initial_mu,
-        config.mu_increase,
-        config.mu_decrease,
-        _MU_CEILING,
-        config.min_step_norm,
-    )
-    if code == 90:
-        raise NonFiniteValueError("jacobian is non-finite at the current parameters")
-    if code not in _CORE_TERMINATIONS:
-        return None
-    return FitResult(
-        params.with_vector(out_vec),
-        float(chi2),
-        float(chi2) / (n - p) if n > p else np.inf,
-        int(iterations),
-        _CORE_TERMINATIONS[code],
-        tuple(float(t) for t in trace[:n_trace]),
-    )
 
 
 def fit_series(series, family, n_terms=1, config=None, weights=None):

@@ -147,28 +147,24 @@ class _RawVector:
     values: np.ndarray
 
 
-def _raw_matrix(sample, channels, abscissa):
-    return np.concatenate(
-        [extract_channel(sample, c, abscissa).ordinate for c in channels]
-    )
-
-
-def _truncate_vectors(samples, channels, abscissa):
+# the raw baselines read ordinates only, so they take the index abscissa:
+# a timestamp abscissa would reject repeated timestamps it never uses
+def _truncate_vectors(samples, channels):
     min_n = min(s.n_points for s in samples)
     out = []
     for s in samples:
-        parts = [extract_channel(s, c, abscissa).ordinate[:min_n] for c in channels]
+        parts = [extract_channel(s, c).ordinate[:min_n] for c in channels]
         out.append(_RawVector(s.user_id, s.sample_index, s.label, np.concatenate(parts)))
     return out
 
 
-def _zero_pad_vectors(samples, channels, abscissa):
+def _zero_pad_vectors(samples, channels):
     max_n = max(s.n_points for s in samples)
     out = []
     for s in samples:
         parts = []
         for c in channels:
-            ordinate = extract_channel(s, c, abscissa).ordinate
+            ordinate = extract_channel(s, c).ordinate
             parts.append(np.pad(ordinate, (0, max_n - len(ordinate))))
         out.append(_RawVector(s.user_id, s.sample_index, s.label, np.concatenate(parts)))
     return out
@@ -202,9 +198,9 @@ def compare_preprocessors(
             else:
                 vectors = pipeline.uniformize_dataset(samples, config, jobs=jobs).vectors
         elif name == "truncate":
-            vectors = _truncate_vectors(samples, config.channels, config.abscissa)
+            vectors = _truncate_vectors(samples, config.channels)
         elif name == "zero-pad":
-            vectors = _zero_pad_vectors(samples, config.channels, config.abscissa)
+            vectors = _zero_pad_vectors(samples, config.channels)
         else:
             raise SigfitError(f"unknown preprocessing config {name!r}")
         trials = score_trials(vectors, protocol)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -123,6 +122,24 @@ class TestPreprocessCommand:
         assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
         assert (second / "vectors.csv").read_bytes() == (first / "vectors.csv").read_bytes()
 
+    def test_rerun_accepts_a_recorded_segment_size(self, tmp_path):
+        # manifests written before preprocess dropped its unused
+        # --segment-size still carry the key; they must replay unchanged
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--users", "1", "--genuine", "2", "--forged", "1",
+                        "--out", data]) == 0
+        first = tmp_path / "first"
+        code = run_cli(["preprocess", "--root", data, "--out", first, "--terms", "2",
+                        "--max-iterations", "20", "--jobs", "1"])
+        assert code == 0
+        manifest_path = first / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["segment-size"] = 20
+        manifest_path.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        assert run_cli(["rerun", manifest_path, "--out", second]) == 0
+        assert (second / "vectors.csv").read_bytes() == (first / "vectors.csv").read_bytes()
+
     def test_per_segment_mode_changes_header(self, data_dir, tmp_path):
         out = tmp_path / "seg"
         code = run_cli(
@@ -244,7 +261,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "sigfit.cli", "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, SIGFIT_DISABLE_NUMBA="1"),
         )
         assert out.returncode == 0
         assert "sigfit" in out.stdout

@@ -96,3 +96,24 @@ def test_csv_row_format():
     assert cells[1] == "levenberg-marquardt"
     assert float(cells[2]) == 2.486e6
     assert float(cells[5]) == 139.4
+
+
+def test_fit_statistics_match_the_report():
+    rng = np.random.default_rng(8)
+    x = np.arange(30.0)
+    y = 2.0 * x + rng.normal(0.0, 1.5, 30)
+    params = models.Polynomial((1.9, 0.3))
+    report = gof.gof_report(make_series(x, y), params)
+    sse, _, r2, rmse = gof.fit_statistics(y, models.evaluate(params, x), params.n_params)
+    assert (sse, r2, rmse) == (report.sse, report.r_squared, report.rmse)
+
+
+def test_fit_statistics_without_spare_points():
+    # stitched per-part fits may use every point: R^2 stays, RMSE has no dof
+    y = np.array([1.0, 3.0, 2.0, 5.0])
+    f = np.array([1.5, 2.5, 2.5, 4.5])
+    sse, sst, r2, rmse = gof.fit_statistics(y, f, 4)
+    assert (sse, sst) == (1.0, 8.75)
+    assert r2 == 1.0 - 1.0 / 8.75
+    assert np.isnan(rmse)
+    assert np.isnan(gof.fit_statistics(np.full(4, 2.0), f, 2)[2])  # SST = 0

@@ -170,12 +170,12 @@ class TestSumOfSinesMemo:
 
     def test_jacobian_after_eval_is_bit_identical_to_fresh(self):
         x, p = self._point()
-        f = _kernels.sumsines_eval_numpy(x, p)
+        f = _kernels.sumsines_eval(x, p)
         memo = _kernels._sines_memo
-        jac = _kernels.sumsines_jac_numpy(x, p)
+        jac = _kernels.sumsines_jac(x, p)
         assert _kernels._sines_memo is memo  # the Jacobian took the memo
         np.testing.assert_array_equal(jac, _sumsines_jac_reference(x, p))
-        again = _kernels.sumsines_eval_numpy(x.copy(), p.copy())  # equal values hit too
+        again = _kernels.sumsines_eval(x.copy(), p.copy())  # equal values hit too
         assert _kernels._sines_memo is memo
         np.testing.assert_array_equal(again, f)
         arg = np.outer(x, p[1::3]) + p[2::3]
@@ -183,21 +183,60 @@ class TestSumOfSinesMemo:
 
     def test_in_place_mutation_of_p_recomputes(self):
         x, p = self._point()
-        _kernels.sumsines_eval_numpy(x, p)
+        _kernels.sumsines_eval(x, p)
         p[4] += 0.01  # a frequency, changed under the memo's feet
-        jac = _kernels.sumsines_jac_numpy(x, p)
+        jac = _kernels.sumsines_jac(x, p)
         np.testing.assert_array_equal(jac, _sumsines_jac_reference(x, p))
         np.testing.assert_array_equal(_kernels._sines_memo[1], p)
 
     def test_in_place_mutation_of_x_recomputes(self):
         x, p = self._point()
-        _kernels.sumsines_eval_numpy(x, p)
+        _kernels.sumsines_eval(x, p)
         x *= 0.5
-        f = _kernels.sumsines_eval_numpy(x, p)
+        f = _kernels.sumsines_eval(x, p)
         np.testing.assert_array_equal(f, np.sin(np.outer(x, p[1::3]) + p[2::3]) @ p[0::3])
         np.testing.assert_array_equal(
-            _kernels.sumsines_jac_numpy(x, p), _sumsines_jac_reference(x, p)
+            _kernels.sumsines_jac(x, p), _sumsines_jac_reference(x, p)
         )
+
+
+_FEASIBILITY_CASES = [
+    # (params, feasible vector, infeasible vector or None where none exists)
+    (models.SumOfSines(((1.0, 0.5, 0.0),)), [2.0, 0.3, 1.0], []),
+    (models.Fourier(1.0, ((0.5, 0.2),), 0.3), [1.0, 0.5, 0.2, 0.3], [1.0, 0.3]),
+    (models.Fourier(1.0, ((0.5, 0.2),), 0.3, True), [1.0, 0.5, 0.2], [1.0]),
+    (models.Polynomial((1.0, 2.0)), [3.0, 1.0], [0.0, 1.0]),
+    (models.Weibull(2.0, 0.0, 1.0, 1.0), [1.5, -0.5, 2.0, 3.0], [1.5, -0.5, 0.0, 3.0]),
+    (models.Weibull2(1.5, 0.5), [0.8, 2.0], [0.8, -2.0]),
+    (models.Parabola(0.5), [-1.0], None),
+    (models.ScaledExponential(1.0, 0.1), [2.0, -0.3], None),
+    (models.Sine(), [], None),
+    (models.Exponential(), [], None),
+]
+
+
+def _validates(params, vec):
+    try:
+        params.with_vector(vec).validate()
+    except InvalidParamsError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "params, good, bad",
+    _FEASIBILITY_CASES,
+    ids=[p.family + ("-fixed" if getattr(p, "fixed_omega", False) else "")
+         for p, _, _ in _FEASIBILITY_CASES],
+)
+def test_feasible_iff_rebuilt_params_validate(params, good, bad):
+    assert {type(p) for p, _, _ in _FEASIBILITY_CASES} == set(models.FAMILIES.values())
+    for vec, expected in ((good, True), (bad, False)):
+        if vec is None:
+            continue
+        vec = np.asarray(vec, dtype=float)
+        assert _validates(params, vec) is expected
+        assert bool(params.feasible(vec)) is expected
 
 
 class TestInitialGuess:

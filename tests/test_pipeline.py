@@ -105,6 +105,18 @@ class TestBatchIsolation:
         assert bad_entry["failed_channels"] == [1]
         assert "strictly increasing" in bad_entry["channels"][0]["error"]
 
+    def test_failed_channel_takes_its_family_from_the_layout(self):
+        values = 5000.0 + 800.0 * np.sin(0.13 * np.arange(60.0))
+        sample = _sample_from_channel(values)
+        sample.data[5, 2] = sample.data[4, 2]
+        config = dataclasses.replace(
+            TINY, channels=(1, 3), timestamp_channel=3, abscissa="timestamp"
+        )
+        vec = pipeline.preprocess_sample(sample, config)
+        assert [cf.termination for cf in vec.channel_fits] == ["failed", "failed"]
+        assert [cf.family for cf in vec.channel_fits] == ["sum-of-sines", "polynomial"]
+        assert [f for _, f, _ in config.layout()] == ["sum-of-sines", "polynomial"]
+
     def test_any_exception_fails_only_its_channel(self, monkeypatch):
         def broken(series, channel, config):
             raise ValueError("not a sigfit error")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigfit import models, solver
+from sigfit import _kernels, models, solver
 from sigfit.errors import (
     InvalidParamsError,
     LengthMismatchError,
@@ -142,6 +142,24 @@ class TestFit:
         )
         assert rel <= 1e-6
         assert result.chi2 <= 1e-12 * float(y @ y)
+
+    def test_kernels_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper set on a kernel name after import sees the solver's calls
+        calls = {"sumsines_eval": 0, "sumsines_jac": 0}
+        for name in calls:
+            kernel = getattr(_kernels, name)
+
+            def counting(x, p, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(x, p)
+
+            monkeypatch.setattr(_kernels, name, counting)
+        x = np.arange(60.0)
+        true = models.SumOfSines(((2.0, 0.3, 0.5),))
+        series = make_series(x, 2.0 * np.sin(0.3 * x + 0.5))
+        result = solver.fit(solver.FitProblem(series, _perturbed(true, np.random.default_rng(3))))
+        assert result.iterations > 0
+        assert calls["sumsines_eval"] > 0 and calls["sumsines_jac"] > 0
 
     def test_fourier_recovery(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,21 @@ class TestComparePreprocessors:
         lines = text.strip().splitlines()
         assert lines[0] == "config,eer,n_trials"
         assert len(lines) == 3
+
+    def test_baselines_ignore_the_abscissa(self, tiny_dataset, fast_config):
+        # the raw baselines read ordinates only, so a repeated timestamp,
+        # which the timestamp abscissa rejects, must not abort them
+        samples = list(tiny_dataset)
+        bad = samples[3]
+        samples[3] = dataclasses.replace(bad, data=bad.data.copy())
+        samples[3].data[5, 2] = samples[3].data[4, 2]
+        baselines = ("truncate", "zero-pad")
+        protocol = verify.Protocol(10, 4)
+        timestamp = verify.compare_preprocessors(
+            samples, dataclasses.replace(fast_config, abscissa="timestamp"), protocol,
+            include=baselines,
+        )
+        index = verify.compare_preprocessors(samples, fast_config, protocol, include=baselines)
+        for name in baselines:
+            assert timestamp[name]["eer"] == index[name]["eer"]
+            assert timestamp[name]["roc"] == index[name]["roc"]

@@ -87,7 +87,6 @@ class SignatureSample:
 class ChannelSeries:
     """One channel as paired float arrays; abscissa strictly increasing."""
 
-    channel_index: int
     abscissa: np.ndarray
     ordinate: np.ndarray
 
@@ -165,7 +164,7 @@ def extract_channel(sample, channel_index, abscissa="index"):
         xs = t - t[0]
     else:
         raise InvalidParamsError(f"unknown abscissa policy {abscissa!r}")
-    return ChannelSeries(channel_index, xs, ordinate)
+    return ChannelSeries(xs, ordinate)
 
 
 @dataclass

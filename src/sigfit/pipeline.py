@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _blas, gof, models, solver
 from .errors import NonFiniteValueError, SigfitError
-from .ingest import extract_channel, N_CHANNELS, _user_sort_key
+from .ingest import ChannelSeries, extract_channel, N_CHANNELS, _user_sort_key
 from .solver import SolverConfig
 
 
@@ -60,18 +60,14 @@ class PipelineConfig:
     def vector_length(self):
         return len(self.channels) * self.block_width
 
+    def channel_family(self, channel):
+        """The family label of one channel's block, as its fit reports it."""
+        family = self.timestamp_family if channel == self.timestamp_channel else "sum-of-sines"
+        return "segmented-" + family if self.per_segment_fit else family
+
     def layout(self):
         """Per-channel (channel, family, width) tuples; frozen for a run."""
-        mode = "segmented-" if self.per_segment_fit else ""
-        out = []
-        for c in self.channels:
-            family = (
-                self.timestamp_family
-                if (not self.per_segment_fit and c == self.timestamp_channel)
-                else "sum-of-sines"
-            )
-            out.append((c, mode + family, self.block_width))
-        return tuple(out)
+        return tuple((c, self.channel_family(c), self.block_width) for c in self.channels)
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,8 @@ def _gof_safe(series, params):
 
 
 def _whole_channel_block(series, channel, config):
-    timestamp = channel == config.timestamp_channel
-    family = config.timestamp_family if timestamp else "sum-of-sines"
-    n_terms = config.timestamp_degree if timestamp else config.n_terms
+    family = config.channel_family(channel)
+    n_terms = config.timestamp_degree if channel == config.timestamp_channel else config.n_terms
     result = _fit_channel(series, family, n_terms, config.solver)
     params = models.canonicalize(result.params)
     coeffs = params.param_vector()
@@ -170,7 +165,7 @@ def _segmented_block(series, channel, config):
             )
         u = x[idx]
         u = (u - u[0]) / (u[-1] - u[0])
-        part = _PartSeries(u, y[idx])
+        part = ChannelSeries(u, y[idx])
         if timestamp:
             result = _fit_channel(part, config.timestamp_family, 1, config.solver)
             vec = result.params.param_vector()
@@ -186,15 +181,8 @@ def _segmented_block(series, channel, config):
             termination = result.termination
     block = np.concatenate(coeffs)
     _, _, r2, rmse = gof.fit_statistics(y, predictions, 3 * config.n_segments)
-    family = ("segmented-" + config.timestamp_family) if timestamp else "segmented-sum-of-sines"
-    info = ChannelFit(channel, family, termination, r2, rmse, iterations)
+    info = ChannelFit(channel, config.channel_family(channel), termination, r2, rmse, iterations)
     return block, info
-
-
-@dataclass(frozen=True)
-class _PartSeries:
-    abscissa: np.ndarray
-    ordinate: np.ndarray
 
 
 def preprocess_sample(sample, config=None):
@@ -315,7 +303,7 @@ def runtime_scaling_probe(sizes, config=None, repeats=5, max_iterations=12, seed
             + 180.0 * np.sin(0.31 * x + 2.0)
             + rng.normal(0.0, 20.0, size)
         )
-        series = _PartSeries(x, y)
+        series = ChannelSeries(x, y)
         guess = models.initial_guess("sum-of-sines", series, 11)
         problem = solver.FitProblem(series, guess)
         solver.fit(problem, probe_config)  # warmup: first-call costs

@@ -33,6 +33,7 @@ from .errors import (
     SegmentTooSmallError,
     SingularNormalMatrixError,
 )
+from .ingest import ChannelSeries
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +120,7 @@ _SEGMENT_FIT_CONFIG = solver.SolverConfig(max_iterations=100)
 
 
 def _fit_segment_sine(u, y):
-    series = _MiniSeries(u, y)
+    series = ChannelSeries(u, y)
     if len(y) >= 6:
         guess = models.initial_guess("sum-of-sines", series, 1)
     else:
@@ -134,12 +135,6 @@ def _fit_segment_sine(u, y):
 
 def _level_sine(y):
     return models.SumOfSines(((float(np.mean(y)), 1e-3, np.pi / 2.0),))
-
-
-@dataclass(frozen=True)
-class _MiniSeries:
-    abscissa: np.ndarray
-    ordinate: np.ndarray
 
 
 def reference_curve(candidate, seg, exponential_mode="fixed"):
@@ -162,7 +157,7 @@ def reference_curve(candidate, seg, exponential_mode="fixed"):
 
 
 def _fit_generic(u, y, family):
-    series = _MiniSeries(u, y)
+    series = ChannelSeries(u, y)
     guess = models.initial_guess(family, series, 1)
     if guess.n_params == 0 or len(y) < guess.n_params:
         return guess

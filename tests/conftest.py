@@ -6,7 +6,7 @@ from sigfit import ingest, synth
 
 def make_series(x, y):
     """ChannelSeries-shaped pair of float arrays for solver/model tests."""
-    return ingest.ChannelSeries(1, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return ingest.ChannelSeries(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 @pytest.fixture(scope="session")

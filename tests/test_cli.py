@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sigfit import cli
+from sigfit import cli, pipeline
 
 FAST = ["--terms", "3", "--max-iterations", "60"]
 
@@ -211,16 +211,17 @@ class TestEvalCommand:
 
 class TestRerun:
     def test_fit_and_rank_replay(self, data_dir, tmp_path):
+        one_channel = ["--file", data_dir / "U1S2.TXT", "--channel", "2"]
         for command, extra, output in (
-            ("fit", ["--family", "polynomial", "--terms", "2", "--trace"], "fit.json"),
-            ("rank", ["--candidates", "sinusoidal,parabolic", "--segment-size", "30"],
-             "ranking.csv"),
+            ("fit", [*one_channel, "--family", "polynomial", "--terms", "2", "--trace"],
+             "fit.json"),
+            ("rank", [*one_channel, "--candidates", "sinusoidal,parabolic",
+                      "--segment-size", "30"], "ranking.csv"),
+            ("synth", ["--users", "1", "--genuine", "2", "--forged", "1", "--seed", "3"],
+             "U1S3.TXT"),
         ):
             first, second = tmp_path / command / "a", tmp_path / command / "b"
-            code = run_cli(
-                [command, "--file", data_dir / "U1S2.TXT", "--channel", "2", *extra,
-                 "--out", first]
-            )
+            code = run_cli([command, *extra, "--out", first])
             assert code == 0
             assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
             assert (second / output).read_bytes() == (first / output).read_bytes()
@@ -229,6 +230,59 @@ class TestRerun:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": "nope", "config": {}}))
         assert run_cli(["rerun", manifest]) == 2
+
+
+class TestSettings:
+    def test_preprocess_defaults_are_the_library_defaults(self):
+        args = cli._build_parser().parse_args(["preprocess"])
+        assert cli._pipeline_config(cli._settings(args)) == pipeline.PipelineConfig()
+
+    @pytest.mark.parametrize("command, config", [
+        ("fit", {"family": "nope"}),
+        ("preprocess", {"abscissa": "nope"}),
+        ("preprocess", {"per-segment-fit": "false"}),
+        ("fit", []),  # not a JSON object
+    ])
+    def test_config_file_values_are_checked(self, data_dir, tmp_path, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        if command == "fit":
+            source = ["--file", data_dir / "U1S1.TXT"]
+        else:
+            source = ["--root", data_dir, "--jobs", "1"]
+        out = tmp_path / "out"
+        assert run_cli([command, *source, "--config", path, "--out", out, *FAST]) == 2
+        assert not out.exists()
+
+    def test_config_file_algorithm_is_named(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"algorithm": "foo"}))
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--config", config, "--out", tmp_path]
+        )
+        assert code == 2
+        assert "'foo'" in capsys.readouterr().err
+
+    def test_config_file_trace_takes_effect(self, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trace": True}))
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--channel", "3", "--family",
+             "polynomial", "--terms", "2", "--config", config, "--out", tmp_path]
+        )
+        assert code == 0
+        assert len(json.loads((tmp_path / "fit.json").read_text())["trace"]) >= 1
+
+    def test_config_file_root_takes_effect(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.delenv("SIGFIT_DATA_ROOT", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root": str(data_dir)}))
+        code = run_cli(
+            ["preprocess", "--config", config, "--out", tmp_path / "out", "--terms", "2",
+             "--max-iterations", "20", "--jobs", "1"]
+        )
+        assert code == 0
+        assert (tmp_path / "out" / "vectors.csv").is_file()
 
 
 class TestDatasetRootFallback:

@@ -140,6 +140,17 @@ class TestPerSegmentMode:
         vec = pipeline.preprocess_sample(small_dataset[1], config)
         assert len(vec) == 7 * 15
 
+    @pytest.mark.parametrize("per_segment_fit", [False, True])
+    def test_layout_families_match_the_channel_fits(self, small_dataset, per_segment_fit):
+        config = dataclasses.replace(
+            TINY, channels=(1, 3), timestamp_channel=3, per_segment_fit=per_segment_fit
+        )
+        vec = pipeline.preprocess_sample(small_dataset[1], config)
+        assert not any(cf.error for cf in vec.channel_fits)
+        assert [f for _, f, _ in config.layout()] == [cf.family for cf in vec.channel_fits]
+        blocks = pipeline.vectors_to_json([vec])[0]["blocks"]
+        assert [b["family"] for b in blocks] == [cf.family for cf in vec.channel_fits]
+
     def test_segmented_fit_quality_reported(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True, channels=(1,),
                                          timestamp_channel=None)

@@ -29,6 +29,7 @@ from .solver import (
     chi_square,
     chi_square_gradient,
     fit,
+    fit_many,
     fit_series,
     lm_step,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "evaluate",
     "extract_channel",
     "fit",
+    "fit_many",
     "fit_series",
     "gof_report",
     "initial_guess",

@@ -2,7 +2,10 @@
 
 Callers look each kernel up on this module at call time, so a wrapper set
 on a name (a tracer, a counting test double) sees every call. The
-sum-of-sines pair shares a one-slot memo of the last point's sines.
+sum-of-sines pair shares a one-slot memo of the last point's sines, and it
+broadcasts over leading axes (``x (..., N)``, ``p (..., 3n)``): each slice
+of a stacked call equals the 1-D call on that slice bit for bit, because
+numpy's stacked matmul runs the same BLAS routine slice by slice.
 
 Parameter packing conventions (one flat float64 vector per family):
 
@@ -17,7 +20,7 @@ import numpy as np
 BACKEND = "numpy"
 
 # One-slot memo of the latest sum-of-sines point: copies of (x, p), then
-# arg = outer(x, B) + C and sin(arg). A solver evaluates a trial point and,
+# arg = x * B + C (an outer product per slice) and sin(arg). A solver evaluates a trial point and,
 # once it is accepted, takes the Jacobian at that same point, so the sines
 # are computed once. A hit needs bit-equal values, never mere identity: a
 # caller that mutates x or p in place gets a fresh computation. The slot is
@@ -35,24 +38,23 @@ def _sines(x, p):
     memo = _sines_memo
     if memo is not None and _same(memo[1], p) and _same(memo[0], x):
         return memo[2], memo[3]
-    arg = x[:, None] * p[1::3] + p[2::3]
+    arg = x[..., :, None] * p[..., None, 1::3] + p[..., None, 2::3]
     s = np.sin(arg)
     _sines_memo = (np.array(x), np.array(p), arg, s)
     return arg, s
 
 
 def sumsines_eval(x, p):
-    return _sines(x, p)[1] @ p[0::3]
+    return (_sines(x, p)[1] @ p[..., 0::3, None])[..., 0]
 
 
 def sumsines_jac(x, p):
-    n = p.shape[0] // 3
     arg, s = _sines(x, p)
-    ac = p[0::3] * np.cos(arg)
-    jac = np.empty((x.shape[0], 3 * n))
-    jac[:, 0::3] = s
-    jac[:, 1::3] = ac * x[:, None]
-    jac[:, 2::3] = ac
+    ac = p[..., None, 0::3] * np.cos(arg)
+    jac = np.empty(arg.shape[:-1] + p.shape[-1:])
+    jac[..., 0::3] = s
+    jac[..., 1::3] = ac * x[..., :, None]
+    jac[..., 2::3] = ac
     return jac
 
 

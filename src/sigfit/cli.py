@@ -1,29 +1,36 @@
 """Batch command line: fit, rank, preprocess, eval, synth, rerun.
 
 Every command writes a run manifest next to its outputs: the resolved
-configuration snapshot, inputs, outputs, tool version, backend and wall
-time. ``sigfit rerun <manifest>`` replays the recorded command and
-produces byte-identical files. Diagnostics go to stderr; data goes to
+configuration snapshot, inputs, outputs, tool version, backend, the
+environment (Python, numpy, BLAS threads, CPUs, pool start method) and
+wall time. ``sigfit rerun <manifest>`` replays the recorded configuration
+and produces byte-identical files. Diagnostics go to stderr; data goes to
 files. Exit codes: 0 success, 2 parse/usage errors, 3 fit errors, 4 I/O
 errors. When ``--root`` is omitted, the SIGFIT_DATA_ROOT environment
 variable supplies the dataset directory.
 
 One table, ``SETTINGS``, holds each command's settings: every key is at
-once the flag (``--key``), the config-file key and the manifest key.
+once the flag (``--key``), the config-file key and the manifest key. A
+boolean key also has ``--no-key``, so a flag can turn off what a config
+file turned on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, gof, ingest, models, pipeline, selection, solver, synth, verify
+import numpy as np
+
+from . import __version__, _blas, gof, ingest, models, pipeline, selection, solver, synth, verify
 from ._kernels import BACKEND
-from .errors import SigfitError
+from .errors import InvalidParamsError, SigfitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -279,12 +286,27 @@ def cmd_eval(settings, out_dir):
 
 
 def cmd_synth(settings, out_dir):
-    paths = synth.write_dataset(
-        out_dir, n_users=settings["users"], seed=settings["seed"],
-        genuine=settings["genuine"], forged=settings["forged"],
-    )
+    try:
+        paths = synth.write_dataset(
+            out_dir, n_users=settings["users"], seed=settings["seed"],
+            genuine=settings["genuine"], forged=settings["forged"],
+        )
+    except InvalidParamsError as exc:
+        raise _CliError(str(exc), EXIT_PARSE) from exc
     print(f"wrote {len(paths)} samples to {out_dir}", file=sys.stderr)
     return EXIT_OK, [], paths
+
+
+def _environment():
+    """What the run ran on; recorded for the reader, never replayed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "backend": BACKEND,
+        "blas_threads": _blas.get_threads(),
+        "cpu_count": os.cpu_count(),
+        "start_method": multiprocessing.get_start_method(),
+    }
 
 
 def _run(args):
@@ -298,6 +320,7 @@ def _run(args):
         "tool_version": __version__,
         "backend": BACKEND,
         "config": settings,
+        "environment": _environment(),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.time() - started, 3),
@@ -307,7 +330,7 @@ def _run(args):
 
 
 def cmd_rerun(args):
-    """Replay a manifest: every recorded key stands in for its flag."""
+    """Replay a manifest: every recorded ``config`` key stands in for its flag."""
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise _CliError(f"manifest not found: {manifest_path}", EXIT_IO)
@@ -345,7 +368,7 @@ def _build_parser():
             choices = f"one of {', '.join(_CHOICES[key])}; " if key in _CHOICES else ""
             p.add_argument(
                 f"--{key}",
-                action="store_true" if isinstance(default, bool) else "store",
+                action=argparse.BooleanOptionalAction if isinstance(default, bool) else "store",
                 default=None,
                 help=_PATH_HELP.get(key, f"{choices}default: {default}"),
             )

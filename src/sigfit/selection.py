@@ -8,7 +8,8 @@ per-family total, and families rank ascending by that total.
 Reference-curve construction per segment works on the segment's abscissa
 rescaled to [0, 1], which keeps the fixed forms on a sane scale:
 
-* ``sinusoidal``   single-term sum-of-sines, fitted
+* ``sinusoidal``   single-term sum-of-sines, fitted (a channel's segments
+  fit in lockstep, see ``_sinusoidal_references``)
 * ``parabolic``    y = 2*sqrt(a*x), scale a fitted in closed form
 * ``exponential``  literal y = e^x (its equation has nothing to fit)
 * any model family tag: fitted per segment with a one-term guess
@@ -27,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, solver
-from .errors import (
-    InvalidParamsError,
-    LengthMismatchError,
-    SegmentTooSmallError,
-    SingularNormalMatrixError,
-)
+from .errors import InvalidParamsError, LengthMismatchError, SegmentTooSmallError
 from .ingest import ChannelSeries
 
 log = logging.getLogger(__name__)
@@ -119,22 +115,36 @@ def area_between(seg, f_values, g_values):
 _SEGMENT_FIT_CONFIG = solver.SolverConfig(max_iterations=100)
 
 
-def _fit_segment_sine(u, y):
-    series = ChannelSeries(u, y)
-    if len(y) >= 6:
-        guess = models.initial_guess("sum-of-sines", series, 1)
-    else:
-        guess = _level_sine(y)
-    if len(y) >= guess.n_params:
-        try:
-            return solver.fit(solver.FitProblem(series, guess), _SEGMENT_FIT_CONFIG).params
-        except SingularNormalMatrixError:
-            pass
-    return guess
-
-
 def _level_sine(y):
     return models.SumOfSines(((float(np.mean(y)), 1e-3, np.pi / 2.0),))
+
+
+def _sinusoidal_references(segments):
+    """Fitted one-term sine curve on each segment's unit abscissa.
+
+    Segments of 6 or more points start from the spectral guess, shorter
+    ones from a level sine; segments under 3 points keep that start. The
+    fits of equal-length segments run in lockstep, one ``fit_many`` per
+    length, with the same results as one ``solver.fit`` each.
+    """
+    units = [seg.unit_abscissa() for seg in segments]
+    fitted = [None] * len(segments)
+    groups = {}  # segment length -> [(segment position, fit problem)]
+    for k, (seg, u) in enumerate(zip(segments, units)):
+        series = ChannelSeries(u, seg.ordinate)
+        if seg.length >= 6:
+            guess = models.initial_guess("sum-of-sines", series, 1)
+        else:
+            guess = _level_sine(seg.ordinate)
+        if seg.length >= guess.n_params:
+            groups.setdefault(seg.length, []).append((k, solver.FitProblem(series, guess)))
+        else:
+            fitted[k] = guess
+    for group in groups.values():
+        results = solver.fit_many([problem for _, problem in group], _SEGMENT_FIT_CONFIG)
+        for (k, _), result in zip(group, results):
+            fitted[k] = result.params
+    return [models.evaluate(params, u) for params, u in zip(fitted, units)]
 
 
 def reference_curve(candidate, seg, exponential_mode="fixed"):
@@ -142,7 +152,7 @@ def reference_curve(candidate, seg, exponential_mode="fixed"):
     u = seg.unit_abscissa()
     y = seg.ordinate
     if candidate == "sinusoidal":
-        return models.evaluate(_fit_segment_sine(u, y), u)
+        return _sinusoidal_references([seg])[0]
     if candidate == "parabolic":
         return models.evaluate(models.fit_parabola_scale(u, y), u)
     if candidate == "exponential":
@@ -180,11 +190,12 @@ def rank_families(
     segments = segment(series, segment_size)
     results = []
     for candidate in candidates:
-        per_segment = []
         try:
-            for seg in segments:
-                g = reference_curve(candidate, seg, exponential_mode)
-                per_segment.append(area_between(seg, seg.ordinate, g))
+            if candidate == "sinusoidal":  # the channel's segments fit in lockstep
+                curves = _sinusoidal_references(segments)
+            else:
+                curves = [reference_curve(candidate, seg, exponential_mode) for seg in segments]
+            per_segment = [area_between(seg, seg.ordinate, g) for seg, g in zip(segments, curves)]
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             log.warning("candidate %r excluded: %s: %s", candidate, type(exc).__name__, exc)
             continue

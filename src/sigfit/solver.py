@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import _kernels, models
 from .errors import (
     DomainError,
     InvalidParamsError,
     LengthMismatchError,
     NonFiniteValueError,
+    SigfitError,
     SingularNormalMatrixError,
     TooFewPointsError,
 )
@@ -386,6 +387,189 @@ def fit(problem, config=None):
     out_params = params.with_vector(vec)
     reduced = chi2 / (n - p) if n > p else np.inf
     return FitResult(out_params, chi2, reduced, iterations, termination, tuple(trace))
+
+
+def _dots(rows):
+    """Row-wise ``r @ r`` of a (B, N) stack, through the same BLAS dot."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def _solve_normal_stack(a, b):
+    """``_solve_normal(a[k], b[k], False)`` for every k, in one stacked solve."""
+    scale = np.sqrt(a.diagonal(axis1=1, axis2=2))
+    scale = np.where(scale > 0, scale, 1.0)
+    ah = a / (scale[:, :, None] * scale[:, None, :])
+    try:
+        return np.linalg.solve(ah, (b / scale)[:, :, None])[:, :, 0] / scale
+    except np.linalg.LinAlgError:  # one singular slice fails the whole stack
+        return np.array([_solve_normal(ak, bk, False) for ak, bk in zip(a, b)])
+
+
+class _Lockstep:
+    """The unfinished problems of a ``fit_many`` batch, one row each."""
+
+    __slots__ = ("index", "x", "y", "sigma", "vec", "fvec", "chi2", "mu", "small", "iterations")
+
+    def take(self, keep):
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def residuals(self, vecs):
+        r = _kernels.sumsines_eval(self.x, vecs) - self.y
+        return r if self.sigma is None else r / self.sigma
+
+
+def fit_many(problems, config=None):
+    """Levenberg-Marquardt over many sum-of-sines problems in lockstep.
+
+    The problems share one point count and one term count; abscissa,
+    ordinate, weights and start are each problem's own. One round takes one
+    damped trial step for every unfinished problem, with the Jacobians
+    (B, N, P), normal matrices (B, P, P) and solves stacked, while mu, the
+    counters and the termination stay per problem. Finished problems leave
+    the batch. This pays off when per-call numpy overhead dominates, as on
+    short segments; large fits are bound by their sines and gain nothing,
+    and a batch of one runs ``fit`` itself.
+
+    Each result equals ``fit(problem, config)`` field for field, trace
+    included. When problems fail, the first failing one in list order
+    raises what ``fit`` raises on it, as a loop of ``fit`` calls would.
+    Another algorithm or family, or mixed shapes, raise up front.
+    """
+    config = config or SolverConfig()
+    config.validate()
+    if config.algorithm != LEVENBERG_MARQUARDT:
+        raise InvalidParamsError(
+            f"fit_many runs {LEVENBERG_MARQUARDT} only, not {config.algorithm!r}"
+        )
+    problems = list(problems)
+    for problem in problems:
+        if problem.family != models.SumOfSines.family:
+            raise InvalidParamsError(f"fit_many fits sum-of-sines only, not {problem.family!r}")
+    if len(problems) < 2:  # nothing to share: one round costs more than a fit step
+        return [fit(problem, config) for problem in problems]
+    n = len(problems[0].series.ordinate)
+    p = problems[0].initial.n_params
+    errors = {}  # problem index -> the exception fit raises on it
+    sigmas = []
+    for i, problem in enumerate(problems):
+        if (len(problem.series.ordinate), problem.initial.n_params) != (n, p):
+            raise LengthMismatchError("fit_many needs one point count and one term count")
+        try:
+            sigma = problem.sigma()
+            problem.initial.validate()
+            if n < p:
+                raise TooFewPointsError(f"{n} points cannot constrain {p} parameters")
+        except SigfitError as exc:
+            errors[i] = exc  # no later problem can fail first
+            break
+        sigmas.append(sigma)
+    if not sigmas:
+        raise errors[0]
+    chosen = problems[: len(sigmas)]
+    b = _Lockstep()
+    b.index = np.arange(len(chosen))
+    b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in chosen]).reshape(-1, n)
+    b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in chosen]).reshape(-1, n)
+    weighted = any(q.weights is not None for q in chosen)
+    b.sigma = np.array(sigmas).reshape(-1, n) if weighted else None  # sigma 1 divides exactly
+    b.vec = np.array([q.initial.param_vector() for q in chosen]).reshape(-1, p)
+    b.fvec = b.residuals(b.vec)
+    b.chi2 = _dots(b.fvec)
+    b.mu = np.full(len(chosen), config.initial_mu)
+    b.small = np.zeros(len(chosen), dtype=int)
+    b.iterations = np.zeros(len(chosen), dtype=int)
+    traces = [[c] for c in b.chi2.tolist()]
+    results = [None] * len(problems)
+    tol_abs, tol_rel = config.chi2_abs_tol, config.chi2_rel_tol
+    mu_decrease, mu_increase = config.mu_decrease, config.mu_increase
+
+    def fail(mask, message):
+        for i in b.index[mask].tolist():
+            errors[i] = NonFiniteValueError(message)
+
+    def finish(mask, termination):
+        for k in np.flatnonzero(mask).tolist():
+            i = int(b.index[k])
+            chi2 = float(b.chi2[k])
+            reduced = chi2 / (n - p) if n > p else np.inf
+            params = problems[i].initial.with_vector(b.vec[k])
+            iterations = int(b.iterations[k])
+            results[i] = FitResult(params, chi2, reduced, iterations, termination, tuple(traces[i]))
+
+    def keep(done):
+        """Drop finished rows, and rows behind a failed problem."""
+        if errors:
+            done = done | (b.index >= min(errors))
+        if done.any():
+            b.take(~done)
+            return ~done
+        return None
+
+    fail(~np.isfinite(b.fvec).all(axis=1), "model is non-finite at the initial parameters")
+    keep(np.zeros(len(b.index), dtype=bool))
+    while b.index.size:
+        # each row starts, or resumes, an iteration: its Jacobian at the
+        # current point is the one fit took there (rejected trials leave
+        # the point, and so the Jacobian, unchanged)
+        jac = _kernels.sumsines_jac(b.x, b.vec)
+        if b.sigma is not None:
+            jac = jac / b.sigma[:, :, None]
+        grad = (jac.transpose(0, 2, 1) @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
+        # chi2 >= 0, so chi2.all() says no chi2 is zero
+        if not (np.isfinite(jac).all() and b.chi2.all() and grad.any(axis=1).all()):
+            bad = ~np.isfinite(jac).all(axis=(1, 2))
+            flat = ~bad & ((b.chi2 == 0.0) | ~grad.any(axis=1))
+            fail(bad, "jacobian is non-finite at the current parameters")
+            finish(flat, CONVERGED)
+            kept = keep(bad | flat)
+            if not b.index.size:
+                break
+            jac, grad = jac[kept], grad[kept]
+        ata = jac.transpose(0, 2, 1) @ jac
+        damp = ata.diagonal(axis1=1, axis2=2).copy()
+        if not (damp > 0).all():
+            floor = damp.max(axis=1, keepdims=True) * 1e-14 + 1e-300
+            damp = np.where(damp > 0, damp, floor)
+        ata.reshape(len(ata), -1)[:, :: p + 1] += b.mu[:, None] * damp  # the diagonals
+        d = _solve_normal_stack(ata, -grad)
+        stagnant = np.sqrt(_dots(d)) < config.min_step_norm  # zero-change iterations
+        trial = b.vec + d
+        ft = b.residuals(trial)
+        finite = np.isfinite(ft).all(axis=1)
+        if finite.all():
+            c = _dots(ft)
+        else:
+            c = np.full(len(finite), np.inf)
+            c[finite] = _dots(ft[finite])
+        accept = ~stagnant & (c <= b.chi2)
+        advanced = stagnant | accept
+        reject = ~advanced
+        b.mu = np.where(accept, b.mu * mu_decrease, np.where(reject, b.mu * mu_increase, b.mu))
+        b.vec = np.where(accept[:, None], trial, b.vec)
+        b.fvec = np.where(accept[:, None], ft, b.fvec)
+        new_chi2 = np.where(accept, c, b.chi2)
+        small_step = b.chi2 - new_chi2 <= tol_abs + tol_rel * new_chi2
+        b.chi2 = new_chi2
+        b.iterations += advanced
+        b.small = np.where(advanced, np.where(small_step, b.small + 1, 0), b.small)
+        for i, value in zip(b.index[advanced].tolist(), new_chi2[advanced].tolist()):
+            traces[i].append(value)
+        # only a row that advanced this round can reach either count: a
+        # row leaves the batch in the round it does
+        converged = b.small >= 2
+        stuck = reject & (b.mu > _MU_CEILING)
+        done = converged | stuck | (b.iterations >= config.max_iterations)
+        if done.any():
+            finish(converged, CONVERGED)
+            finish(done & ~converged & ~stuck, MAX_ITERATIONS)
+            finish(stuck, STEP_TOO_SMALL)
+            keep(done)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def fit_series(series, family, n_terms=1, config=None, weights=None):

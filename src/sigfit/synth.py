@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import FORGED, GENUINE, SignatureSample
+from .errors import InvalidParamsError
+from .ingest import DEFAULT_GENUINE_MAX, FORGED, GENUINE, SignatureSample
 
 DEFAULT_SEED = 20040501
 DEVICE_TICK_MS = 10
@@ -206,14 +207,29 @@ def generate_samples(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, table
 
 
 def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, table_variety=True):
-    """Write U<user>S<sample>.TXT files; returns the list of paths."""
+    """Write U<user>S<sample>.TXT files; returns the list of paths.
+
+    File numbers follow the 20 + 20 convention ``ingest.load_dataset``
+    labels by: genuine samples are S1..S<genuine> and forgeries are
+    numbered from S21 on, whatever the split, so the loader reads back the
+    labels written here. More than 20 genuine samples cannot be labelled
+    that way and are refused.
+    """
     from .ingest import serialize_sample
 
+    if genuine > DEFAULT_GENUINE_MAX:
+        raise InvalidParamsError(
+            f"genuine {genuine} > {DEFAULT_GENUINE_MAX}: the loader labels files "
+            f"S{DEFAULT_GENUINE_MAX + 1} and up as forgeries"
+        )
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     paths = []
     for sample in generate_samples(n_users, seed, genuine, forged, table_variety):
-        path = root / f"U{sample.user_id}S{sample.sample_index}.TXT"
+        number = sample.sample_index
+        if sample.label == FORGED:
+            number += DEFAULT_GENUINE_MAX - genuine
+        path = root / f"U{sample.user_id}S{number}.TXT"
         path.write_text(serialize_sample(sample))
         paths.append(path)
     return paths

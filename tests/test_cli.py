@@ -1,10 +1,11 @@
 import json
+import platform
 import subprocess
 import sys
 
 import pytest
 
-from sigfit import cli, pipeline
+from sigfit import cli, ingest, pipeline
 
 FAST = ["--terms", "3", "--max-iterations", "60"]
 
@@ -218,13 +219,26 @@ class TestRerun:
             ("rank", [*one_channel, "--candidates", "sinusoidal,parabolic",
                       "--segment-size", "30"], "ranking.csv"),
             ("synth", ["--users", "1", "--genuine", "2", "--forged", "1", "--seed", "3"],
-             "U1S3.TXT"),
+             "U1S21.TXT"),
         ):
             first, second = tmp_path / command / "a", tmp_path / command / "b"
             code = run_cli([command, *extra, "--out", first])
             assert code == 0
             assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
             assert (second / output).read_bytes() == (first / output).read_bytes()
+
+    def test_manifest_records_the_environment_and_still_replays(self, data_dir, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        args = ["rank", "--file", data_dir / "U1S2.TXT", "--channel", "2"]
+        assert run_cli([*args, "--out", first]) == 0
+        environment = json.loads((first / "manifest.json").read_text())["environment"]
+        assert set(environment) == {
+            "python", "numpy", "backend", "blas_threads", "cpu_count", "start_method"
+        }
+        assert environment["python"] == platform.python_version()
+        assert environment["backend"] == "numpy"
+        assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
+        assert (second / "ranking.csv").read_bytes() == (first / "ranking.csv").read_bytes()
 
     def test_unknown_command_exits_2(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -284,6 +298,25 @@ class TestSettings:
         assert code == 0
         assert (tmp_path / "out" / "vectors.csv").is_file()
 
+    @pytest.mark.parametrize("command, key", [("preprocess", "per-segment-fit"), ("fit", "trace")])
+    def test_a_flag_turns_off_a_config_file_boolean(self, tmp_path, command, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: True}))
+        parse = cli._build_parser().parse_args
+        assert cli._settings(parse([command, "--config", str(config)]))[key] is True
+        assert cli._settings(parse([command, "--config", str(config), f"--no-{key}"]))[key] is False
+
+    def test_no_trace_flag_drops_a_config_file_trace(self, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trace": True}))
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--channel", "3", "--family",
+             "polynomial", "--terms", "2", "--config", config, "--no-trace", "--out", tmp_path]
+        )
+        assert code == 0
+        assert "trace" not in json.loads((tmp_path / "fit.json").read_text())
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["trace"] is False
+
 
 class TestDatasetRootFallback:
     def test_env_var_supplies_root(self, data_dir, tmp_path, monkeypatch):
@@ -307,6 +340,17 @@ class TestSynthCommand:
         assert run_cli(["synth", "--users", "1", "--out", b]) == 0
         assert (a / "U1S1.TXT").read_bytes() == (b / "U1S1.TXT").read_bytes()
         assert len(list(a.glob("U*.TXT"))) == 40
+
+    def test_a_smaller_split_keeps_its_labels(self, tmp_path):
+        assert run_cli(["synth", "--users", "1", "--genuine", "3", "--forged", "2",
+                        "--out", tmp_path]) == 0
+        assert ingest.load_dataset(tmp_path).counts() == {"1": (3, 2)}
+
+    def test_more_genuine_than_the_loader_labels_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        limit = ingest.DEFAULT_GENUINE_MAX
+        assert run_cli(["synth", "--users", "1", "--genuine", limit + 1, "--out", out]) == 2
+        assert not list(out.glob("*.TXT"))
 
 
 class TestEntryPoint:

@@ -137,8 +137,8 @@ class TestLoadDataset:
         index = ingest.load_dataset(tmp_path)
         assert len(index.errors) == 1
         assert "U1S2.TXT" in index.errors[0].path
-        # labels come from the file-name convention: S3 reads as genuine
-        assert index.counts() == {"1": (2, 0)}
+        # labels come from the file-name convention: the forgery is written as S21
+        assert index.counts() == {"1": (1, 1)}
 
     def test_histogram_reports_point_counts(self, tmp_path):
         synth.write_dataset(tmp_path, n_users=1, genuine=3, forged=0)

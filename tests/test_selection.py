@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfit import selection
+from sigfit import ingest, models, selection, solver, synth
 from sigfit.errors import LengthMismatchError, SegmentTooSmallError
 from tests.conftest import make_series
 
@@ -144,6 +144,47 @@ class TestRankFamilies:
         assert lines[1].startswith("sinusoidal,")
         areas = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert areas == sorted(areas)
+
+
+def _ranking_with_one_fit_per_segment(series, segment_size):
+    """The table ranking, each sinusoidal reference fitted alone by solver.fit."""
+    config = solver.SolverConfig(max_iterations=100)
+    reports = []
+    for candidate in selection.TABLE_CANDIDATES:
+        areas = []
+        for seg in selection.segment(series, segment_size):
+            u = seg.unit_abscissa()
+            if candidate != "sinusoidal":
+                g = selection.reference_curve(candidate, seg)
+            else:
+                part = ingest.ChannelSeries(u, seg.ordinate)
+                if seg.length >= 6:
+                    params = models.initial_guess("sum-of-sines", part, 1)
+                else:
+                    params = models.SumOfSines(((float(np.mean(seg.ordinate)), 1e-3, np.pi / 2.0),))
+                if seg.length >= 3:
+                    params = solver.fit(solver.FitProblem(part, params), config).params
+                g = models.evaluate(params, u)
+            areas.append(selection.area_between(seg, seg.ordinate, g))
+        reports.append((candidate, selection.AreaReport(candidate, tuple(areas), sum(areas))))
+    return sorted(reports, key=lambda item: item[1].total)
+
+
+def test_lockstep_ranking_equals_one_fit_per_segment():
+    samples = synth.generate_samples(n_users=1, seed=17, genuine=1, forged=1)
+    for sample in samples:
+        for channel in range(1, ingest.N_CHANNELS + 1):
+            series = ingest.extract_channel(sample, channel)
+            got = selection.ranking_csv(selection.rank_families(series))
+            assert got == selection.ranking_csv(_ranking_with_one_fit_per_segment(series, 20))
+
+
+@pytest.mark.parametrize("n", [41, 42, 43, 45, 46])
+def test_lockstep_ranking_with_short_tail_segments(n):
+    # tails of 21 (orphan merged), 2 (start kept), 3 and 5 (level-sine start), 6 points
+    series = _series_of_length(n)
+    got = selection.ranking_csv(selection.rank_families(series))
+    assert got == selection.ranking_csv(_ranking_with_one_fit_per_segment(series, 20))
 
 
 def test_reference_curve_shapes(reference_series):

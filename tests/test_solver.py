@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sigfit import _kernels, models, solver
 from sigfit.errors import (
@@ -291,6 +292,95 @@ class TestFit:
         tail = np.asarray(result.trace[-3:])
         deltas = -np.diff(tail)
         assert np.all(deltas <= config.chi2_abs_tol + config.chi2_rel_tol * tail[1:])
+
+
+def _same_fit(a, b):
+    return (
+        a.params.param_vector().tobytes() == b.params.param_vector().tobytes()
+        and (a.chi2, a.reduced_chi2, a.iterations) == (b.chi2, b.reduced_chi2, b.iterations)
+        and (a.termination, a.trace) == (b.termination, b.trace)
+    )
+
+
+def _sine_problems(seed, n_problems, n_points, weighted=False):
+    """Random one-term problems; some start at the truth (zero or tiny steps)."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(n_problems):
+        x = np.linspace(0.0, 1.0, n_points)
+        if rng.random() < 0.5:
+            x = np.sort(rng.uniform(0.0, 1.0, n_points))
+        true = models.SumOfSines(((rng.uniform(-2, 2), rng.uniform(0.5, 9), rng.uniform(-3, 3)),))
+        noise = rng.choice([0.0, 1e-13, 0.05, 1.0])
+        y = models.evaluate(true, x) + rng.normal(0.0, noise, n_points)
+        start = true
+        if rng.random() < 0.7:  # a zero amplitude leaves two Jacobian columns zero
+            amplitude = rng.choice([0.0, rng.uniform(-3, 3)], p=[0.2, 0.8])
+            start = models.SumOfSines(((amplitude, rng.uniform(0.01, 12), rng.uniform(-3, 3)),))
+        weights = rng.uniform(0.5, 2.0, n_points) if weighted and rng.random() < 0.5 else None
+        problems.append(solver.FitProblem(make_series(x, y), start, weights))
+    return problems
+
+
+class TestFitMany:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_problems=st.integers(2, 9),
+        n_points=st.integers(3, 25),
+        max_iterations=st.integers(1, 60),
+        mu_increase=st.sampled_from([10.0, 1e40]),  # 1e40: one rejection ends a fit
+        weighted=st.booleans(),
+    )
+    def test_equals_a_loop_of_fit(
+        self, seed, n_problems, n_points, max_iterations, mu_increase, weighted
+    ):
+        config = solver.SolverConfig(max_iterations=max_iterations, mu_increase=mu_increase)
+        problems = _sine_problems(seed, n_problems, n_points, weighted)
+        expected = [solver.fit(problem, config) for problem in problems]
+        got = solver.fit_many(problems, config)
+        assert len(got) == len(expected)
+        assert all(_same_fit(a, b) for a, b in zip(got, expected))
+
+    def test_batches_with_mixed_outcomes(self):
+        config = solver.SolverConfig(max_iterations=8, mu_increase=1e40)
+        problems = _sine_problems(0, 40, 20)
+        expected = [solver.fit(problem, config) for problem in problems]
+        assert {r.termination for r in expected} == {
+            solver.CONVERGED,
+            solver.MAX_ITERATIONS,
+            solver.STEP_TOO_SMALL,
+        }
+        assert all(_same_fit(a, b) for a, b in zip(solver.fit_many(problems, config), expected))
+
+    @pytest.mark.parametrize(
+        "start,x_end",
+        [((np.inf, 1.0, 0.0), 1.0), ((1e300, 1.0, 0.0), 1e10)],
+        ids=["non-finite-start", "non-finite-jacobian"],
+    )
+    def test_failure_raises_what_fit_raises(self, start, x_end):
+        x = np.linspace(0.0, x_end, 12)
+        bad = solver.FitProblem(make_series(x, np.zeros(12)), models.SumOfSines((start,)))
+        good = _sine_problems(3, 2, 12)
+        with pytest.raises(NonFiniteValueError) as expected, np.errstate(all="ignore"):
+            solver.fit(bad)
+        with pytest.raises(NonFiniteValueError) as got, np.errstate(all="ignore"):
+            solver.fit_many([good[0], bad, good[1]])
+        assert str(got.value) == str(expected.value)
+
+    def test_refuses_what_it_cannot_batch(self):
+        problems = _sine_problems(4, 2, 10)
+        with pytest.raises(InvalidParamsError):
+            solver.fit_many(problems, solver.SolverConfig(algorithm=solver.GAUSS_NEWTON))
+        x = np.arange(10.0)
+        line = solver.FitProblem(make_series(x, x), models.Polynomial((1.0, 0.0)))
+        with pytest.raises(InvalidParamsError):
+            solver.fit_many([problems[0], line])
+        with pytest.raises(LengthMismatchError):
+            solver.fit_many(problems + _sine_problems(4, 1, 11))
+        with pytest.raises(TooFewPointsError):
+            solver.fit_many(_sine_problems(4, 2, 2))
+        assert solver.fit_many([]) == []
 
 
 class TestSolverConfig:

@@ -7,7 +7,6 @@ from .errors import SigfitError
 from .gof import GofReport, gof_report
 from .ingest import (
     ChannelSeries,
-    SignaturePoint,
     SignatureSample,
     extract_channel,
     load_dataset,
@@ -18,7 +17,6 @@ from .pipeline import (
     FeatureVector,
     PipelineConfig,
     preprocess_sample,
-    runtime_scaling_probe,
     uniformize_dataset,
 )
 from .selection import AreaReport, Segment, area_between, rank_families, segment
@@ -31,7 +29,6 @@ from .solver import (
     fit,
     fit_many,
     fit_series,
-    lm_step,
 )
 from .verify import Protocol, compare_preprocessors, roc_and_eer, score_trials
 
@@ -50,7 +47,6 @@ __all__ = [
     "Protocol",
     "Segment",
     "SigfitError",
-    "SignaturePoint",
     "SignatureSample",
     "SolverConfig",
     "__version__",
@@ -66,13 +62,11 @@ __all__ = [
     "gof_report",
     "initial_guess",
     "jacobian",
-    "lm_step",
     "load_dataset",
     "parse_sample",
     "preprocess_sample",
     "rank_families",
     "roc_and_eer",
-    "runtime_scaling_probe",
     "score_trials",
     "segment",
     "uniformize_dataset",

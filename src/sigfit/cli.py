@@ -128,6 +128,7 @@ def _settings(args):
         if value is None and key == "root":
             value = os.environ.get("SIGFIT_DATA_ROOT") or None
         settings[key] = None if value is None else _coerce(key, value, default)
+    _check_ranges(args.command, settings)
     return settings
 
 
@@ -138,6 +139,8 @@ def _coerce(key, value, default):
             value = ",".join(n.strip() for n in names if n.strip())
         if isinstance(default, bool) and not isinstance(value, bool):
             raise TypeError("not a boolean")
+        if type(default) is int and (isinstance(value, bool) or not isinstance(value, (int, str))):
+            raise TypeError("not an integer")  # int() would round 2.7 and count True as 1
         value = (str if default is None else type(default))(value)
     except (AttributeError, TypeError, ValueError) as exc:
         raise _CliError(f"bad {key} {value!r}", EXIT_PARSE) from exc
@@ -148,10 +151,34 @@ def _coerce(key, value, default):
     return str(Path(value)) if default is None else value
 
 
+def _check_ranges(command, settings):
+    """Refuse an out-of-range value up front, before any fit runs."""
+    try:
+        if command in ("preprocess", "eval"):
+            _pipeline_config(settings).validate()
+        if command == "eval":
+            _protocol(settings).validate()
+        if command == "fit":
+            _solver_config(settings).validate()
+    except SigfitError as exc:
+        raise _CliError(f"bad settings: {exc}", EXIT_PARSE) from exc
+    if command in ("fit", "rank") and not 1 <= settings["channel"] <= ingest.N_CHANNELS:
+        raise _CliError(f"channel {settings['channel']} not in 1..{ingest.N_CHANNELS}", EXIT_PARSE)
+    if command == "rank" and settings["segment-size"] < 2:
+        raise _CliError(f"segment size {settings['segment-size']} < 2", EXIT_PARSE)
+    least = 0 if settings.get("family") == "polynomial" else 1  # a polynomial degree may be 0
+    if command == "fit" and settings["terms"] < least:
+        raise _CliError(f"terms must be >= {least} for {settings['family']}", EXIT_PARSE)
+
+
 def _solver_config(settings):
     return solver.SolverConfig(
         algorithm=settings["algorithm"], max_iterations=settings["max-iterations"]
     )
+
+
+def _protocol(settings):
+    return verify.Protocol(enroll_size=settings["enroll"], seed=settings["seed"])
 
 
 def _pipeline_config(settings):
@@ -262,7 +289,7 @@ def cmd_preprocess(settings, out_dir):
 def cmd_eval(settings, out_dir):
     root = _dataset_root(settings)
     config = _pipeline_config(settings)
-    protocol = verify.Protocol(enroll_size=settings["enroll"], seed=settings["seed"])
+    protocol = _protocol(settings)
     samples = ingest.load_dataset(root).samples()
     try:
         results = verify.compare_preprocessors(samples, config, protocol, jobs=settings["jobs"])

@@ -69,12 +69,3 @@ class InsufficientEnrollmentError(SigfitError):
 
 class OneClassOnlyError(SigfitError):
     """Trial list contains only genuine or only forged trials."""
-
-
-class FitFailedError(SigfitError):
-    """A channel fit failed; carries the channel index and reason."""
-
-    def __init__(self, channel, reason):
-        super().__init__(f"channel {channel}: {reason}")
-        self.channel = channel
-        self.reason = reason

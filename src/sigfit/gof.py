@@ -62,12 +62,3 @@ def gof_report(series, params):
     else:
         adj = np.nan
     return GofReport(sse, r2, adj, rmse, n, p)
-
-
-GOF_CSV_HEADER = "family,algorithm,sse,r_squared,adjusted_r_squared,rmse"
-
-
-def gof_csv_row(family, algorithm, report):
-    """One CSV row in the family/algorithm/SSE/R2/adjR2/RMSE layout."""
-    values = (report.sse, report.r_squared, report.adjusted_r_squared, report.rmse)
-    return f"{family},{algorithm}," + ",".join(f"{v:.17g}" for v in values)

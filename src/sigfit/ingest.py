@@ -34,29 +34,9 @@ GENUINE = "genuine"
 FORGED = "forged"
 
 N_CHANNELS = 7
-CHANNEL_NAMES = (
-    "x",
-    "y",
-    "timestamp",
-    "button_status",
-    "azimuth",
-    "altitude",
-    "pressure",
-)
 
 DEFAULT_NAME_PATTERN = r"U(?P<user>\d+)S(?P<sample>\d+)\.(?:txt|TXT)$"
 DEFAULT_GENUINE_MAX = 20
-
-
-@dataclass(frozen=True)
-class SignaturePoint:
-    x: int
-    y: int
-    timestamp: int
-    button_status: int
-    azimuth: int
-    altitude: int
-    pressure: int
 
 
 @dataclass(frozen=True)
@@ -77,10 +57,6 @@ class SignatureSample:
     @property
     def n_points(self):
         return self.data.shape[0]
-
-    @property
-    def points(self):
-        return tuple(SignaturePoint(*map(int, row)) for row in self.data)
 
 
 @dataclass(frozen=True)

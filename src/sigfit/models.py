@@ -9,8 +9,7 @@ make one method call, so solver code never special-cases model types.
 Canonical parameter orders (frozen; feature-vector layout depends on them):
 
 * SumOfSines          A_1, B_1, C_1, ..., A_n, B_n, C_n
-* Fourier             a0, a_1, b_1, ..., a_n, b_n, omega (omega last,
-                      dropped from the fitted vector when ``fixed_omega``)
+* Fourier             a0, a_1, b_1, ..., a_n, b_n, omega (omega last)
 * Polynomial          coefficients in descending degree
 * Weibull             gamma, mu, alpha, amp
 * Weibull2            beta, lam
@@ -103,14 +102,12 @@ class SumOfSines(_Family):
 class Fourier(_Family):
     """f(x) = a0 + sum_i a_i*cos(i*omega*x) + b_i*sin(i*omega*x).
 
-    ``omega`` is the fundamental frequency, fitted by default; with
-    ``fixed_omega`` the model is linear in its remaining parameters.
+    ``omega`` is the fundamental frequency, fitted with the coefficients.
     """
 
     a0: float
     terms: tuple  # of (a_i, b_i)
     omega: float
-    fixed_omega: bool = False
 
     family = "fourier"
 
@@ -120,23 +117,18 @@ class Fourier(_Family):
 
     @property
     def n_params(self):
-        return 2 * len(self.terms) + (1 if self.fixed_omega else 2)
+        return 2 * len(self.terms) + 2
 
     def param_vector(self):
-        flat = [self.a0] + [v for t in self.terms for v in t]
-        if not self.fixed_omega:
-            flat.append(self.omega)
+        flat = [self.a0] + [v for t in self.terms for v in t] + [self.omega]
         return np.asarray(flat, dtype=float)
 
-    def with_vector(self, vec):
+    @classmethod
+    def from_vector(cls, vec):
         vec = np.asarray(vec, dtype=float)
-        if self.fixed_omega:
-            coeffs, omega = vec, self.omega
-        else:
-            coeffs, omega = vec[:-1], float(vec[-1])
-        n = (len(coeffs) - 1) // 2
-        terms = tuple((coeffs[2 * i + 1], coeffs[2 * i + 2]) for i in range(n))
-        return Fourier(float(coeffs[0]), terms, omega, self.fixed_omega)
+        n = (len(vec) - 2) // 2
+        terms = tuple((vec[2 * i + 1], vec[2 * i + 2]) for i in range(n))
+        return cls(float(vec[0]), terms, float(vec[-1]))
 
     def validate(self):
         if len(self.terms) < 1:
@@ -145,19 +137,13 @@ class Fourier(_Family):
             raise InvalidParamsError("each fourier term is (a_i, b_i)")
 
     def feasible(self, v):
-        return v.size >= (3 if self.fixed_omega else 4)
-
-    def packed(self, vec=None):
-        """Kernel layout [a0, a1, b1, ..., an, bn, omega], always with omega."""
-        vec = self.param_vector() if vec is None else vec
-        return np.append(vec, self.omega) if self.fixed_omega else vec
+        return v.size >= 4
 
     def eval_vec(self, v, x):
-        return _kernels.fourier_eval(x, self.packed(v))
+        return _kernels.fourier_eval(x, v)
 
     def jac_vec(self, v, x):
-        jac = _kernels.fourier_jac(x, self.packed(v))
-        return jac[:, :-1] if self.fixed_omega else jac
+        return _kernels.fourier_jac(x, v)
 
 
 @dataclass(frozen=True)
@@ -608,12 +594,6 @@ def fit_parabola_scale(x, y):
     return Parabola(max(s, 0.0) ** 2)
 
 
-def weibull_from_survival(params):
-    """Density implied by the survival form: beta=gamma, lam=1/alpha, mu=0."""
-    params.validate()
-    return Weibull(params.beta, 0.0, 1.0 / params.lam, 1.0)
-
-
 def canonicalize(params):
     """Deterministic representative of an equivalence class of parameters.
 
@@ -638,22 +618,11 @@ def canonicalize(params):
 
 def params_to_dict(params):
     """JSON-ready dict: family tag plus the ordered coefficient array."""
-    d = {"family": params.family, "coefficients": [float(v) for v in params.param_vector()]}
-    if isinstance(params, Fourier):
-        d["coefficients"] = [float(v) for v in params.packed()]
-        d["fixed_omega"] = params.fixed_omega
-    return d
+    return {"family": params.family, "coefficients": [float(v) for v in params.param_vector()]}
 
 
 def params_from_dict(d):
-    family = d["family"]
-    cls = FAMILIES[family]
-    coeffs = np.asarray(d["coefficients"], dtype=float)
-    if cls is Fourier:
-        n = (len(coeffs) - 2) // 2
-        terms = tuple((coeffs[2 * i + 1], coeffs[2 * i + 2]) for i in range(n))
-        return Fourier(float(coeffs[0]), terms, float(coeffs[-1]), bool(d.get("fixed_omega", False)))
-    return cls.from_vector(coeffs)
+    return FAMILIES[d["family"]].from_vector(np.asarray(d["coefficients"], dtype=float))
 
 
 def params_to_json(params):

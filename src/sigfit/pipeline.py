@@ -20,9 +20,8 @@ aborts a batch.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .errors import NonFiniteValueError, SigfitError
 from .ingest import ChannelSeries, extract_channel, N_CHANNELS, _user_sort_key
 from .solver import SolverConfig
 
+TIMESTAMP_FAMILY = "polynomial"
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     n_terms: int = 11
     timestamp_channel: int | None = 3
-    timestamp_family: str = "polynomial"
     timestamp_degree: int = 1
     channels: tuple = tuple(range(1, N_CHANNELS + 1))
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -47,10 +47,13 @@ class PipelineConfig:
     def validate(self):
         if self.n_terms < 1:
             raise SigfitError("n_terms must be >= 1")
+        if self.timestamp_degree < 0:
+            raise SigfitError("timestamp_degree must be >= 0")
         if self.timestamp_channel is not None and self.timestamp_channel not in self.channels:
             raise SigfitError("timestamp_channel must be one of channels, or None")
         if self.per_segment_fit and self.n_segments < 1:
             raise SigfitError("n_segments must be >= 1")
+        self.solver.validate()
 
     @property
     def block_width(self):
@@ -62,7 +65,7 @@ class PipelineConfig:
 
     def channel_family(self, channel):
         """The family label of one channel's block, as its fit reports it."""
-        family = self.timestamp_family if channel == self.timestamp_channel else "sum-of-sines"
+        family = TIMESTAMP_FAMILY if channel == self.timestamp_channel else "sum-of-sines"
         return "segmented-" + family if self.per_segment_fit else family
 
     def layout(self):
@@ -167,7 +170,7 @@ def _segmented_block(series, channel, config):
         u = (u - u[0]) / (u[-1] - u[0])
         part = ChannelSeries(u, y[idx])
         if timestamp:
-            result = _fit_channel(part, config.timestamp_family, 1, config.solver)
+            result = _fit_channel(part, TIMESTAMP_FAMILY, 1, config.solver)
             vec = result.params.param_vector()
             part_coeffs = np.zeros(3)
             part_coeffs[: len(vec)] = vec
@@ -273,53 +276,6 @@ def uniformize_dataset(samples, config=None, jobs=1):
         "samples": entries,
     }
     return BatchResult(vectors, report)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    timings: tuple  # (size, median seconds) pairs
-    slope: float | None  # log-log least squares slope, None for a single size
-
-
-def runtime_scaling_probe(sizes, config=None, repeats=5, max_iterations=12, seed=7):
-    """Median wall time of a capped-iteration fit at each series size.
-
-    Synthetic multi-tone channels keep every run busy for the full
-    iteration cap so the probe reflects per-iteration cost. The log-log
-    slope estimates the scaling exponent (1.0 = linear in series length).
-    """
-    base = (config or PipelineConfig()).solver
-    probe_config = replace(
-        base, max_iterations=max_iterations, chi2_abs_tol=1e-300, chi2_rel_tol=1e-300
-    )
-    rng = np.random.default_rng(seed)
-    timings = []
-    for size in sizes:
-        x = np.arange(size, dtype=float)
-        y = (
-            4000.0
-            + 900.0 * np.sin(0.021 * x + 0.3)
-            + 350.0 * np.sin(0.143 * x + 1.1)
-            + 180.0 * np.sin(0.31 * x + 2.0)
-            + rng.normal(0.0, 20.0, size)
-        )
-        series = ChannelSeries(x, y)
-        guess = models.initial_guess("sum-of-sines", series, 11)
-        problem = solver.FitProblem(series, guess)
-        solver.fit(problem, probe_config)  # warmup: first-call costs
-        reps = []
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            solver.fit(problem, probe_config)
-            reps.append(time.perf_counter() - t0)
-        timings.append((int(size), float(np.median(reps))))
-    distinct = sorted({s for s, _ in timings})
-    if len(distinct) < 2:
-        return ProbeResult(tuple(timings), None)
-    logs = np.log([s for s, _ in timings])
-    logt = np.log([t for _, t in timings])
-    slope = float(np.polyfit(logs, logt, 1)[0])
-    return ProbeResult(tuple(timings), slope)
 
 
 def vectors_csv_header(config):

@@ -11,8 +11,8 @@ rescaled to [0, 1], which keeps the fixed forms on a sane scale:
 * ``sinusoidal``   single-term sum-of-sines, fitted (a channel's segments
   fit in lockstep, see ``_sinusoidal_references``)
 * ``parabolic``    y = 2*sqrt(a*x), scale a fitted in closed form
-* ``exponential``  literal y = e^x (its equation has nothing to fit)
-* any model family tag: fitted per segment with a one-term guess
+* any model family tag: fitted per segment with a one-term guess; the
+  fixed ``exponential`` (y = e^x) and ``sine`` curves have nothing to fit
 
 Absolute differences are used because real channels cross the reference
 curves and signed areas would cancel. The first point of a segment has no
@@ -147,7 +147,7 @@ def _sinusoidal_references(segments):
     return [models.evaluate(params, u) for params, u in zip(fitted, units)]
 
 
-def reference_curve(candidate, seg, exponential_mode="fixed"):
+def reference_curve(candidate, seg):
     """Candidate curve values on one segment's unit abscissa."""
     u = seg.unit_abscissa()
     y = seg.ordinate
@@ -155,12 +155,6 @@ def reference_curve(candidate, seg, exponential_mode="fixed"):
         return _sinusoidal_references([seg])[0]
     if candidate == "parabolic":
         return models.evaluate(models.fit_parabola_scale(u, y), u)
-    if candidate == "exponential":
-        if exponential_mode == "fitted":
-            return models.evaluate(_fit_generic(u, y, "scaled-exponential"), u)
-        return np.exp(u)
-    if candidate == "sine":
-        return np.sin(u)
     if candidate in models.FAMILIES:
         return models.evaluate(_fit_generic(u, y, candidate), u)
     raise InvalidParamsError(f"unknown candidate {candidate!r}")
@@ -169,17 +163,12 @@ def reference_curve(candidate, seg, exponential_mode="fixed"):
 def _fit_generic(u, y, family):
     series = ChannelSeries(u, y)
     guess = models.initial_guess(family, series, 1)
-    if guess.n_params == 0 or len(y) < guess.n_params:
+    if guess.n_params == 0:
         return guess
     return solver.fit(solver.FitProblem(series, guess), _SEGMENT_FIT_CONFIG).params
 
 
-def rank_families(
-    series,
-    candidates=TABLE_CANDIDATES,
-    segment_size=DEFAULT_SEGMENT_SIZE,
-    exponential_mode="fixed",
-):
+def rank_families(series, candidates=TABLE_CANDIDATES, segment_size=DEFAULT_SEGMENT_SIZE):
     """Rank candidate families ascending by total area between curves.
 
     A candidate whose per-segment fit fails is excluded with a warning;
@@ -194,7 +183,7 @@ def rank_families(
             if candidate == "sinusoidal":  # the channel's segments fit in lockstep
                 curves = _sinusoidal_references(segments)
             else:
-                curves = [reference_curve(candidate, seg, exponential_mode) for seg in segments]
+                curves = [reference_curve(candidate, seg) for seg in segments]
             per_segment = [area_between(seg, seg.ordinate, g) for seg, g in zip(segments, curves)]
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             log.warning("candidate %r excluded: %s: %s", candidate, type(exc).__name__, exc)

@@ -19,8 +19,8 @@ Index-abscissa fits put column norms of J five orders of magnitude apart
 (amplitude columns O(1), frequency columns O(A*x)), which makes identity
 damping hover without progress. ``fit`` therefore works in the
 column-equilibrated variables: damping is relative to diag(J'J) and the
-trust region is measured in the scaled space. ``lm_step`` keeps the
-literal mu*I contract for direct use.
+trust region is measured in the scaled space, starting from radius
+max(1, |scaled initial params|).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class SolverConfig:
     initial_mu: float = 1e-3  # relative damping: mu multiplies diag(J'J)
     mu_increase: float = 10.0
     mu_decrease: float = 0.1
-    initial_trust_radius: float = 0.0  # 0 means auto: max(1, |initial params|)
     min_step_norm: float = 1e-12
 
     def validate(self):
@@ -154,8 +153,8 @@ def _solve_normal(a, b, mu_is_zero):
     leaves the solution unchanged but tames the huge column-norm spread of
     index-abscissa fits. Damped systems are positive definite and take the
     LU fast path; the undamped system is checked for rank via SVD, raising
-    SingularNormalMatrixError on deficiency. Both LM and GN steps flow
-    through here, so mu = 0 LM steps and GN steps match bit for bit.
+    SingularNormalMatrixError on deficiency. Gauss-Newton, LM and trust
+    region steps all flow through here.
     """
     p = a.shape[0]
     scale = np.sqrt(a.diagonal())
@@ -177,28 +176,6 @@ def _solve_normal(a, b, mu_is_zero):
         keep = s > tol
         return (vt[keep].T @ ((u[:, keep].T @ bh) / s[keep])) / scale
     return (vt.T @ ((u.T @ bh) / s)) / scale
-
-
-def lm_step(jacobian, residuals, mu):
-    """Solve (J'J + mu*I) d = -J'F for the damped trial step d.
-
-    mu = 0 is exactly the Gauss-Newton step; rank deficiency there raises
-    SingularNormalMatrixError so LM callers can raise mu instead of
-    crashing.
-    """
-    jac = np.asarray(jacobian, dtype=float)
-    f = np.asarray(residuals, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != f.shape[0]:
-        raise LengthMismatchError("jacobian rows must match residual length")
-    if mu < 0:
-        raise InvalidParamsError("mu must be >= 0")
-    p = jac.shape[1]
-    if p == 0:
-        return np.zeros(0)
-    a = jac.T @ jac
-    if mu > 0:
-        a = a + mu * np.eye(p)
-    return _solve_normal(a, -(jac.T @ f), mu == 0)
 
 
 def _dogleg(gn_step, grad, quad, radius):
@@ -273,7 +250,7 @@ def fit(problem, config=None):
     iterations = 0
     small_count = 0
     mu = None
-    radius = config.initial_trust_radius if config.initial_trust_radius > 0 else 0.0
+    radius = 0.0  # set on the first trust-region iteration
 
     for _ in range(config.max_iterations):
         jac = jac_vec(vec, x)

@@ -34,13 +34,6 @@ class _Tone:
     phase: float
 
 
-def _tones(rng, n, amp_range, freq_range):
-    freqs = rng.uniform(*freq_range, size=n)
-    return tuple(
-        _Tone(rng.uniform(*amp_range), f, rng.uniform(0, 2 * np.pi)) for f in freqs
-    )
-
-
 @dataclass(frozen=True)
 class _CoordTemplate:
     level: float

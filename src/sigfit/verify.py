@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .errors import InsufficientEnrollmentError, OneClassOnlyError, SigfitError
+from .errors import InsufficientEnrollmentError, InvalidParamsError, OneClassOnlyError, SigfitError
 from .ingest import GENUINE, extract_channel
 
 SIGMA_FLOOR = 1e-9
@@ -26,6 +26,10 @@ SIGMA_FLOOR = 1e-9
 class Protocol:
     enroll_size: int = 10
     seed: int = 0
+
+    def validate(self):
+        if self.enroll_size < 1:
+            raise InvalidParamsError("enroll_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ def score_trials(vectors, protocol=None):
     identical split regardless of input order.
     """
     protocol = protocol or Protocol()
+    protocol.validate()
     by_user = {}
     for vec in vectors:
         key = "genuine" if vec.label == GENUINE else "forged"
@@ -118,11 +123,6 @@ def _interpolate_eer(points):
             t = da / (da - db)
             return float(a.far + t * (b.far - a.far))
     return (best.far + best.frr) / 2.0
-
-
-def eer_threshold(points):
-    """Threshold of the swept point closest to FAR = FRR."""
-    return min(points, key=lambda p: abs(p.far - p.frr)).threshold
 
 
 ROC_CSV_HEADER = "threshold,far,frr,tpr"

@@ -256,6 +256,8 @@ class TestSettings:
         ("preprocess", {"abscissa": "nope"}),
         ("preprocess", {"per-segment-fit": "false"}),
         ("fit", []),  # not a JSON object
+        ("fit", {"terms": 2.7}),
+        ("fit", {"max-iterations": True}),
     ])
     def test_config_file_values_are_checked(self, data_dir, tmp_path, command, config):
         path = tmp_path / "config.json"
@@ -265,8 +267,37 @@ class TestSettings:
         else:
             source = ["--root", data_dir, "--jobs", "1"]
         out = tmp_path / "out"
-        assert run_cli([command, *source, "--config", path, "--out", out, *FAST]) == 2
+        # no FAST flags: a flag would stand in for the config-file value under test
+        assert run_cli([command, *source, "--config", path, "--out", out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("preprocess", ["--max-iterations", "0"]),
+        ("eval", ["--max-iterations", "0"]),
+        ("preprocess", ["--timestamp-degree=-1"]),
+        ("preprocess", ["--terms", "0"]),
+        ("fit", ["--max-iterations", "0"]),
+        ("fit", ["--terms", "0"]),
+        ("fit", ["--family", "polynomial", "--terms=-1"]),
+        ("fit", ["--channel", "0"]),
+        ("rank", ["--channel", "8"]),
+        ("rank", ["--segment-size", "1"]),
+        ("eval", ["--enroll", "0"]),
+    ])
+    def test_out_of_range_values_exit_2_before_fitting(self, data_dir, tmp_path, command, flags):
+        if command in ("fit", "rank"):
+            source = ["--file", data_dir / "U1S1.TXT"]
+        else:
+            source = ["--root", data_dir, "--jobs", "1"]
+        out = tmp_path / "out"
+        assert run_cli([command, *source, *flags, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_a_polynomial_of_degree_0_fits(self, data_dir, tmp_path):
+        code = run_cli(["fit", "--file", data_dir / "U1S1.TXT", "--family", "polynomial",
+                        "--terms", "0", "--out", tmp_path])
+        assert code == 0
+        assert len(json.loads((tmp_path / "fit.json").read_text())["params"]["coefficients"]) == 1
 
     def test_config_file_algorithm_is_named(self, data_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

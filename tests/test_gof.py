@@ -88,16 +88,6 @@ def test_needs_more_points_than_params():
         gof.gof_report(series, models.Polynomial((1.0, 0.0)))
 
 
-def test_csv_row_format():
-    report = gof.GofReport(2.486e6, 0.9982, 0.9979, 139.4, 131, 3)
-    row = gof.gof_csv_row("sum-of-sines", "levenberg-marquardt", report)
-    cells = row.split(",")
-    assert cells[0] == "sum-of-sines"
-    assert cells[1] == "levenberg-marquardt"
-    assert float(cells[2]) == 2.486e6
-    assert float(cells[5]) == 139.4
-
-
 def test_fit_statistics_match_the_report():
     rng = np.random.default_rng(8)
     x = np.arange(30.0)

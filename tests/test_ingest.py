@@ -17,12 +17,11 @@ class TestParseSample:
     def test_known_rows(self):
         sample = ingest.parse_sample(TABLE_STYLE_FILE, user_id="1", sample_index=1)
         assert sample.n_points == 2
-        first = sample.points[0]
-        assert (first.x, first.y, first.timestamp) == (2288, 7111, 75748770)
-        assert (first.button_status, first.azimuth) == (0, 1310)
-        assert (first.altitude, first.pressure) == (680, 244)
-        second = sample.points[1]
-        assert (second.x, second.y, second.button_status) == (2252, 7058, 1)
+        x, y, timestamp, button_status, azimuth, altitude, pressure = sample.data.T.tolist()
+        assert (x[0], y[0], timestamp[0]) == (2288, 7111, 75748770)
+        assert (button_status[0], azimuth[0]) == (0, 1310)
+        assert (altitude[0], pressure[0]) == (680, 244)
+        assert (x[1], y[1], button_status[1]) == (2252, 7058, 1)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):

@@ -225,7 +225,6 @@ _FEASIBILITY_CASES = [
     # (params, feasible vector, infeasible vector or None where none exists)
     (models.SumOfSines(((1.0, 0.5, 0.0),)), [2.0, 0.3, 1.0], []),
     (models.Fourier(1.0, ((0.5, 0.2),), 0.3), [1.0, 0.5, 0.2, 0.3], [1.0, 0.3]),
-    (models.Fourier(1.0, ((0.5, 0.2),), 0.3, True), [1.0, 0.5, 0.2], [1.0]),
     (models.Polynomial((1.0, 2.0)), [3.0, 1.0], [0.0, 1.0]),
     (models.Weibull(2.0, 0.0, 1.0, 1.0), [1.5, -0.5, 2.0, 3.0], [1.5, -0.5, 0.0, 3.0]),
     (models.Weibull2(1.5, 0.5), [0.8, 2.0], [0.8, -2.0]),
@@ -247,8 +246,7 @@ def _validates(params, vec):
 @pytest.mark.parametrize(
     "params, good, bad",
     _FEASIBILITY_CASES,
-    ids=[p.family + ("-fixed" if getattr(p, "fixed_omega", False) else "")
-         for p, _, _ in _FEASIBILITY_CASES],
+    ids=[p.family for p, _, _ in _FEASIBILITY_CASES],
 )
 def test_feasible_iff_rebuilt_params_validate(params, good, bad):
     assert {type(p) for p, _, _ in _FEASIBILITY_CASES} == set(models.FAMILIES.values())
@@ -325,13 +323,6 @@ class TestHornerPrecision:
 
 
 class TestWeibullSurvivalMapping:
-    def test_location_zero_matches_survival_density(self):
-        gamma, alpha = 1.9, 2.4
-        x = np.linspace(0.01, 12.0, 200)
-        direct = models.evaluate(models.Weibull(gamma, 0.0, alpha, 1.0), x)
-        derived = models.weibull_from_survival(models.Weibull2(gamma, 1.0 / alpha))
-        np.testing.assert_allclose(models.evaluate(derived, x), direct, rtol=1e-13)
-
     def test_survival_form_evaluates(self):
         params = models.Weibull2(2.0, 0.5)
         x = np.array([0.0, 2.0])
@@ -372,7 +363,7 @@ class TestSerialization:
         [
             models.SumOfSines(((1.25, 0.3333333333333333, -2.1),)),
             models.Fourier(0.1, ((1.0, -0.5), (0.25, 0.75)), 0.2123456789012345),
-            models.Fourier(3.0, ((1.0, 2.0),), 0.4, fixed_omega=True),
+            models.Fourier(3.0, ((1.0, 2.0),), 0.4),
             models.Polynomial((1e-17, -3.0, 2.5)),
             models.Weibull(2.0, -0.5, 1.75, 1234.5),
             models.Weibull2(1.5, 0.25),
@@ -389,7 +380,6 @@ class TestSerialization:
         np.testing.assert_array_equal(back.param_vector(), params.param_vector())
         if isinstance(params, models.Fourier):
             assert back.omega == params.omega
-            assert back.fixed_omega == params.fixed_omega
 
     def test_family_tag_in_json(self):
         payload = json.loads(models.params_to_json(models.Parabola(2.0)))

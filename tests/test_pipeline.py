@@ -1,8 +1,11 @@
 import dataclasses
 import multiprocessing
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigfit import _blas, ingest, models, pipeline, solver
 from sigfit.errors import SigfitError
@@ -90,7 +93,61 @@ class TestPreprocessSample:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+FUZZ = dataclasses.replace(TINY, channels=(1, 3), timestamp_channel=3)
+SEEDING_POINTS = 2 * 3 * FUZZ.n_terms  # the sum-of-sines guess wants 2 points per parameter
+BEYOND_INT64 = (2**63, -(2**63) - 1, 10**30)
+
+
+@st.composite
+def _capture_rows(draw):
+    """Rows of one capture file, and whether one value is beyond int64.
+
+    Point counts sit at the seeding threshold and one either side; channel 1
+    may be constant; a zero timestamp step repeats a timestamp.
+    """
+    n = draw(st.sampled_from([SEEDING_POINTS - 1, SEEDING_POINTS, SEEDING_POINTS + 1]))
+    values = st.integers(-(2**62), 2**62)
+    if draw(st.booleans()):
+        x = [draw(values)] * n
+    else:
+        x = draw(st.lists(values, min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(0, 20), min_size=n - 1, max_size=n - 1))
+    t = (1_000_000 + np.concatenate([[0], np.cumsum(steps)])).tolist()
+    rows = [[xi, 1000, ti, 1, 100, 100, 100] for xi, ti in zip(x, t)]
+    overflow = draw(st.booleans())
+    if overflow:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 6))] = draw(
+            st.sampled_from(BEYOND_INT64)
+        )
+    return rows, overflow
+
+
 class TestBatchIsolation:
+    @settings(max_examples=25, deadline=None)
+    @given(capture=_capture_rows(), abscissa=st.sampled_from(["index", "timestamp"]))
+    def test_fuzzed_captures_always_give_a_full_vector(self, capture, abscissa):
+        rows, overflow = capture
+        config = dataclasses.replace(FUZZ, abscissa=abscissa)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "U1S1.TXT"
+            path.write_text(f"{len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+            index = ingest.load_dataset(root)
+        if overflow:
+            assert [issue.path for issue in index.errors] == [str(path)]
+            assert index.samples() == []
+            return
+        assert index.errors == []
+        batch = pipeline.uniformize_dataset(index.samples(), config)
+        (vec,) = batch.vectors
+        assert len(vec) == config.vector_length
+        failed = []
+        for block, fit in zip(vec.blocks, vec.channel_fits):
+            assert (fit.termination == "failed") == (fit.error is not None)
+            if fit.error:
+                failed.append(fit.channel)
+                np.testing.assert_array_equal(block, 0.0)
+        assert batch.report["samples"][0]["failed_channels"] == failed
+
     def test_repeated_timestamp_fails_only_its_sample(self):
         values = 5000.0 + 800.0 * np.sin(0.13 * np.arange(60.0))
         good = _sample_from_channel(values, sample_index=1)
@@ -255,18 +312,6 @@ class TestBlasThreads:
         assert batch.report["jobs"] == 1
 
 
-class TestRuntimeProbe:
-    def test_single_size_has_no_slope(self):
-        probe = pipeline.runtime_scaling_probe([300], repeats=1, max_iterations=2)
-        assert probe.slope is None
-        assert len(probe.timings) == 1
-
-    def test_timings_positive(self):
-        probe = pipeline.runtime_scaling_probe([200, 400], repeats=2, max_iterations=3)
-        assert all(t > 0 for _, t in probe.timings)
-        assert probe.slope is not None
-
-
 class TestVectorSerialization:
     def test_csv_shape_and_precision(self, small_dataset):
         config = pipeline.PipelineConfig(n_terms=2, channels=(1,), timestamp_channel=None)
@@ -293,6 +338,15 @@ class TestVectorSerialization:
 class TestConfigValidation:
     def test_timestamp_channel_must_be_in_channels(self):
         config = pipeline.PipelineConfig(channels=(1, 2), timestamp_channel=3)
+        with pytest.raises(SigfitError):
+            config.validate()
+
+    @pytest.mark.parametrize("config", [
+        pipeline.PipelineConfig(solver=solver.SolverConfig(max_iterations=0)),
+        pipeline.PipelineConfig(solver=solver.SolverConfig(algorithm="nope")),
+        pipeline.PipelineConfig(timestamp_degree=-1),
+    ], ids=["max-iterations", "algorithm", "timestamp-degree"])
+    def test_out_of_range_settings_are_refused(self, config):
         with pytest.raises(SigfitError):
             config.validate()
 

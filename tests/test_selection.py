@@ -130,11 +130,8 @@ class TestRankFamilies:
         x = np.arange(60.0)
         y = 5.0 * np.exp(0.03 * x)
         series = make_series(x, y)
-        fixed = dict(selection.rank_families(series, ("exponential",), 20))
-        fitted = dict(
-            selection.rank_families(series, ("exponential",), 20, exponential_mode="fitted")
-        )
-        assert fitted["exponential"].total < fixed["exponential"].total
+        totals = dict(selection.rank_families(series, ("exponential", "scaled-exponential"), 20))
+        assert totals["scaled-exponential"].total < totals["exponential"].total
 
     def test_csv_mirrors_ranking(self, reference_series):
         rankings = selection.rank_families(reference_series)

@@ -7,7 +7,6 @@ from sigfit.errors import (
     InvalidParamsError,
     LengthMismatchError,
     NonFiniteValueError,
-    SingularNormalMatrixError,
     TooFewPointsError,
 )
 from tests.conftest import make_series
@@ -74,46 +73,6 @@ class TestChiSquareGradient:
                     - solver.chi_square(series, params.with_vector(down))
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-class TestLmStep:
-    def test_zero_residual_gives_zero_step(self):
-        jac = np.random.default_rng(0).normal(size=(10, 3))
-        np.testing.assert_array_equal(solver.lm_step(jac, np.zeros(10), 0.5), np.zeros(3))
-
-    def test_scalar_case(self):
-        d = solver.lm_step(np.array([[1.0]]), np.array([3.0]), 0.25)
-        assert d[0] == pytest.approx(-3.0 / 1.25)
-
-    def test_damped_solve_residual(self):
-        # residual check on the linear solve
-        rng = np.random.default_rng(8)
-        for mu in (0.0, 1e-3, 10.0):
-            jac = rng.normal(size=(30, 6))
-            f = rng.normal(size=30)
-            d = solver.lm_step(jac, f, mu)
-            lhs = (jac.T @ jac + mu * np.eye(6)) @ d + jac.T @ f
-            assert np.linalg.norm(lhs) <= 1e-10 * np.linalg.norm(jac.T @ f)
-
-    def test_rank_deficiency_at_zero_mu(self):
-        col = np.arange(10.0)
-        jac = np.column_stack([col, 2.0 * col])
-        with pytest.raises(SingularNormalMatrixError):
-            solver.lm_step(jac, np.ones(10), 0.0)
-        d = solver.lm_step(jac, np.ones(10), 1e-6)  # damping restores solvability
-        assert np.all(np.isfinite(d))
-
-    def test_mu_zero_is_gauss_newton_bitwise(self):
-        rng = np.random.default_rng(2)
-        jac = rng.normal(size=(25, 4))
-        f = rng.normal(size=25)
-        via_lm = solver.lm_step(jac, f, 0.0)
-        via_gn_path = solver._solve_normal(jac.T @ jac, -(jac.T @ f), True)
-        np.testing.assert_array_equal(via_lm, via_gn_path)
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            solver.lm_step(np.ones((3, 1)), np.ones(3), -1.0)
 
 
 def _perturbed(params, rng, size=0.1):
@@ -264,6 +223,20 @@ class TestFit:
         result = solver.fit(solver.FitProblem(series, guess))
         result.params.validate()
         assert np.isfinite(result.chi2)
+
+    def test_gauss_newton_stops_on_a_singular_normal_matrix(self):
+        # two equal terms give two equal Jacobian blocks: J'J is singular
+        x = np.arange(40.0)
+        problem = solver.FitProblem(
+            make_series(x, np.sin(x)), models.SumOfSines(((1, 0.3, 0.1), (1, 0.3, 0.1)))
+        )
+        gn = solver.fit(problem, solver.SolverConfig(algorithm=solver.GAUSS_NEWTON))
+        assert (gn.termination, gn.iterations) == (solver.SINGULAR_NORMAL_MATRIX, 0)
+        assert gn.params == problem.initial
+        for algorithm in (solver.LEVENBERG_MARQUARDT, solver.TRUST_REGION):
+            result = solver.fit(problem, solver.SolverConfig(algorithm=algorithm))
+            assert result.termination == solver.CONVERGED
+            assert result.chi2 < gn.chi2
 
     def test_fixed_curve_returns_immediately(self):
         x = np.linspace(0.0, 1.0, 10)

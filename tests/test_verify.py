@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigfit import pipeline, verify
-from sigfit.errors import InsufficientEnrollmentError, OneClassOnlyError
+from sigfit.errors import InsufficientEnrollmentError, InvalidParamsError, OneClassOnlyError
 
 
 def _vec(user, index, label, values):
@@ -73,6 +73,12 @@ class TestScoreTrials:
         with pytest.raises(InsufficientEnrollmentError):
             verify.score_trials(vectors, verify.Protocol(enroll_size=10))
 
+    @pytest.mark.parametrize("enroll_size", [0, -1])
+    def test_enrollment_needs_a_vector(self, enroll_size):
+        vectors = [_vec("a", i, "genuine", [float(i)]) for i in range(1, 10)]
+        with pytest.raises(InvalidParamsError):
+            verify.score_trials(vectors, verify.Protocol(enroll_size=enroll_size))
+
 
 class TestRocAndEer:
     def test_perfect_separation(self):
@@ -110,8 +116,7 @@ class TestRocAndEer:
         tprs = [p.tpr for p in points]
         assert fars == sorted(fars)
         assert tprs == sorted(tprs)
-        threshold = verify.eer_threshold(points)
-        at = next(p for p in points if p.threshold == threshold)
+        at = min(points, key=lambda p: abs(p.far - p.frr))  # the swept point nearest FAR = FRR
         assert min(at.far, at.frr) - 1e-12 <= eer <= max(at.far, at.frr) + 1e-12
 
     def test_trial_order_irrelevant(self):

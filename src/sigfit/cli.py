@@ -281,7 +281,7 @@ def cmd_preprocess(settings, out_dir):
     report_path = out_dir / "batch_report.json"
     report_path.write_text(json.dumps(batch.report, indent=2) + "\n")
     manifest_path = out_dir / "dataset_manifest.json"
-    ingest.write_dataset_manifest(index, manifest_path, root)
+    ingest.write_dataset_manifest(index, manifest_path)
     outputs = [csv_path, json_path, report_path, manifest_path]
     return EXIT_OK, [root], outputs
 

@@ -47,6 +47,7 @@ class SignatureSample:
     sample_index: int
     label: str
     data: np.ndarray  # (N, 7) int64, row order = capture order
+    source_path: str = ""  # the file it was read from; empty for in-memory samples
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != N_CHANNELS:
@@ -76,7 +77,7 @@ class ChannelSeries:
         return len(self.ordinate)
 
 
-def parse_sample(text, user_id="?", sample_index=0, label=GENUINE):
+def parse_sample(text, user_id="?", sample_index=0, label=GENUINE, source_path=""):
     """Parse one SVC2004-format file body into a SignatureSample."""
     if not text or not text.strip():
         raise EmptyInputError("empty sample file")
@@ -98,7 +99,8 @@ def parse_sample(text, user_id="?", sample_index=0, label=GENUINE):
             raise MalformedLineError(line_no, f"non-integer token in {line!r}") from exc
     if len(rows) != declared:
         raise CountMismatchError(f"declared {declared} points, found {len(rows)}")
-    return SignatureSample(user_id, sample_index, label, np.asarray(rows, dtype=np.int64))
+    data = np.asarray(rows, dtype=np.int64)
+    return SignatureSample(user_id, sample_index, label, data, source_path)
 
 
 def serialize_sample(sample):
@@ -216,11 +218,11 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
         sample_no = int(m.group("sample"))
         label = GENUINE if sample_no <= genuine_max else FORGED
         try:
-            sample = parse_sample(path.read_text(), user, sample_no, label)
+            sample = parse_sample(path.read_text(), user, sample_no, label, str(path))
         except Exception as exc:  # noqa: BLE001 - per-file errors are report entries
             index.errors.append(FileIssue(str(path), f"{type(exc).__name__}: {exc}"))
             continue
-        index.warnings.extend(check_sample(sample, source=str(path)))
+        index.warnings.extend(check_sample(sample, source=sample.source_path))
         bucket = index.genuine if label == GENUINE else index.forged
         bucket.setdefault(user, []).append(sample)
     if matched == 0:
@@ -231,15 +233,15 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
     return index
 
 
-def dataset_manifest(index, root=""):
-    """JSON-ready listing: one entry per parsed sample."""
+def dataset_manifest(index):
+    """JSON-ready listing: one entry per parsed sample, with the file it came from."""
     entries = [
         {
             "user_id": s.user_id,
             "sample_index": s.sample_index,
             "label": s.label,
             "n_points": s.n_points,
-            "source_path": str(Path(root) / f"U{s.user_id}S{s.sample_index}.TXT") if root else "",
+            "source_path": s.source_path,
         }
         for s in index.samples()
     ]
@@ -251,5 +253,5 @@ def dataset_manifest(index, root=""):
     }
 
 
-def write_dataset_manifest(index, out_path, root=""):
-    Path(out_path).write_text(json.dumps(dataset_manifest(index, root), indent=2) + "\n")
+def write_dataset_manifest(index, out_path):
+    Path(out_path).write_text(json.dumps(dataset_manifest(index), indent=2) + "\n")

@@ -52,7 +52,6 @@ EQUATION_LABELS = {
 
 @dataclass(frozen=True)
 class Segment:
-    segment_index: int
     abscissa: np.ndarray
     ordinate: np.ndarray
 
@@ -90,10 +89,7 @@ def segment(series, segment_size=DEFAULT_SEGMENT_SIZE):
     bounds = list(range(0, n, segment_size)) + [n]
     if bounds[-1] - bounds[-2] == 1:  # orphan point joins the last full segment
         bounds.pop(-2)
-    return [
-        Segment(i, x[lo:hi], y[lo:hi])
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
+    return [Segment(x[lo:hi], y[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def area_between(seg, f_values, g_values):

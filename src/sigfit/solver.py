@@ -1,15 +1,15 @@
 """Chi-square minimization: Gauss-Newton, Levenberg-Marquardt, trust region.
 
 All three algorithms share one convergence contract: stop when the
-chi-square change stays within ``chi2_abs_tol + chi2_rel_tol * chi2`` on
+chi-square change stays within ``_CHI2_ABS_TOL + _CHI2_REL_TOL * chi2`` on
 two successive accepted iterations. Accepted chi-square values are
 non-increasing for every algorithm (Gauss-Newton backtracks by step
 halving; LM and the dogleg trust region reject ascent steps outright).
 Trial steps that leave a family's feasible set or produce non-finite
 values are rejected like any other failed step.
 
-The weighted residual convention is F_i = (f(x_i) - y_i) / sigma_i, so
-chi2 = F.F and the damped normal step is d = -(J'J + mu*I)^{-1} J'F.
+The residual convention is F = f - y, so chi2 = F.F is the sum of squared
+errors and the damped normal step is d = -(J'J + mu*I)^{-1} J'F.
 Every normal solve goes through one shared routine: damped systems are
 positive definite by construction and use an LU solve; the undamped
 Gauss-Newton system gets a rank-revealing SVD so deficiency surfaces as
@@ -51,6 +51,13 @@ MAX_ITERATIONS = "max-iterations"
 SINGULAR_NORMAL_MATRIX = "singular-normal-matrix"
 STEP_TOO_SMALL = "step-too-small"
 
+# fixed schedule, read by fit and fit_many at call time
+_CHI2_ABS_TOL = 1e-10
+_CHI2_REL_TOL = 1e-8
+_MU_INITIAL = 1e-3  # relative damping: mu multiplies diag(J'J)
+_MU_INCREASE = 10.0
+_MU_DECREASE = 0.1
+_MIN_STEP_NORM = 1e-12
 _MU_CEILING = 1e32
 _GN_MAX_HALVINGS = 40
 
@@ -59,46 +66,24 @@ _GN_MAX_HALVINGS = 40
 class SolverConfig:
     algorithm: str = LEVENBERG_MARQUARDT
     max_iterations: int = 400
-    chi2_abs_tol: float = 1e-10
-    chi2_rel_tol: float = 1e-8
-    initial_mu: float = 1e-3  # relative damping: mu multiplies diag(J'J)
-    mu_increase: float = 10.0
-    mu_decrease: float = 0.1
-    min_step_norm: float = 1e-12
 
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidParamsError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iterations < 1:
             raise InvalidParamsError("max_iterations must be >= 1")
-        if not (self.chi2_abs_tol > 0 and self.chi2_rel_tol > 0 and self.min_step_norm > 0):
-            raise InvalidParamsError("tolerances must be positive")
-        if not (self.mu_increase > 1.0 > self.mu_decrease > 0.0):
-            raise InvalidParamsError("need mu_increase > 1 > mu_decrease > 0")
 
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Series, starting parameters and optional per-point sigma weights."""
+    """A series and the parameters to start from."""
 
     series: object  # anything with .abscissa and .ordinate
     initial: object  # a models.* parameter set
-    weights: np.ndarray | None = None  # sigma_i, defaults to 1
 
     @property
     def family(self):
         return self.initial.family
-
-    def sigma(self):
-        n = len(self.series.ordinate)
-        if self.weights is None:
-            return np.ones(n)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (n,):
-            raise LengthMismatchError("weights length must match the series")
-        if np.any(w <= 0):
-            raise InvalidParamsError("all sigma weights must be > 0")
-        return w
 
 
 @dataclass(frozen=True)
@@ -115,35 +100,24 @@ class FitResult:
         return self.termination == CONVERGED
 
 
-def chi_square(series, params, weights=None):
-    """Sum over points of (y_i - f(x_i))^2 / sigma_i^2; SSE when sigma = 1."""
+def chi_square(series, params):
+    """Sum over points of (y_i - f(x_i))^2: the SSE."""
     y = np.asarray(series.ordinate, dtype=float)
     f = models.evaluate(params, series.abscissa)
     if len(f) != len(y):
         raise LengthMismatchError("model values and ordinate lengths differ")
     r = y - f
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise LengthMismatchError("weights length must match the series")
-        r = r / w
     return float(r @ r)
 
 
-def chi_square_gradient(series, params, weights=None):
-    """-2 sum_i (y_i - f_i) / sigma_i^2 * df_i/dalpha, per parameter."""
+def chi_square_gradient(series, params):
+    """-2 sum_i (y_i - f_i) * df_i/dalpha, per parameter."""
     y = np.asarray(series.ordinate, dtype=float)
     f = models.evaluate(params, series.abscissa)
     if len(f) != len(y):
         raise LengthMismatchError("model values and ordinate lengths differ")
     jac = models.jacobian(params, series.abscissa)
-    r = y - f
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise LengthMismatchError("weights length must match the series")
-        r = r / (w * w)
-    return -2.0 * (jac.T @ r)
+    return -2.0 * (jac.T @ (y - f))
 
 
 def _solve_normal(a, b, mu_is_zero):
@@ -215,8 +189,6 @@ def fit(problem, config=None):
     config.validate()
     x = np.asarray(problem.series.abscissa, dtype=float)
     y = np.asarray(problem.series.ordinate, dtype=float)
-    sigma = problem.sigma()
-    unit_sigma = problem.weights is None
     params = problem.initial
     params.validate()
     p = params.n_params
@@ -226,14 +198,14 @@ def fit(problem, config=None):
     eval_vec, jac_vec, feasible = params.eval_vec, params.jac_vec, params.feasible
 
     def try_residuals(vec):
-        """Weighted residuals, or None for infeasible/non-finite trials."""
+        """Residuals, or None for infeasible/non-finite trials."""
         if not feasible(vec):
             return None
         try:
             f = eval_vec(vec, x)
         except (InvalidParamsError, DomainError):
             return None
-        r = f - y if unit_sigma else (f - y) / sigma
+        r = f - y
         return r if np.isfinite(r).all() else None
 
     vec = params.param_vector()
@@ -254,8 +226,6 @@ def fit(problem, config=None):
 
     for _ in range(config.max_iterations):
         jac = jac_vec(vec, x)
-        if not unit_sigma:
-            jac = jac / sigma[:, None]
         if not np.isfinite(jac).all():
             raise NonFiniteValueError("jacobian is non-finite at the current parameters")
         grad = jac.T @ fvec  # half the chi2 gradient
@@ -287,7 +257,7 @@ def fit(problem, config=None):
 
         elif config.algorithm == LEVENBERG_MARQUARDT:
             if mu is None:
-                mu = config.initial_mu  # relative to diag(J'J), i.e. mu*I when equilibrated
+                mu = _MU_INITIAL  # relative to diag(J'J), i.e. mu*I when equilibrated
             damp = ata.diagonal().copy()
             if not (damp > 0).all():
                 damp[~(damp > 0)] = float(damp.max()) * 1e-14 + 1e-300
@@ -296,7 +266,7 @@ def fit(problem, config=None):
                 damped = ata.copy()
                 damped.reshape(-1)[:: p + 1] += mu * damp  # the diagonal, in place
                 d = _solve_normal(damped, neg_grad, False)
-                if math.sqrt(d @ d) < config.min_step_norm:
+                if math.sqrt(d @ d) < _MIN_STEP_NORM:
                     # stagnant step: counts as a zero-change iteration
                     accepted = (vec, fvec, chi2)
                     break
@@ -304,10 +274,10 @@ def fit(problem, config=None):
                 ft = try_residuals(trial)
                 c = float(ft @ ft) if ft is not None else np.inf
                 if c <= chi2:
-                    mu *= config.mu_decrease
+                    mu *= _MU_DECREASE
                     accepted = (trial, ft, c)
                     break
-                mu *= config.mu_increase
+                mu *= _MU_INCREASE
                 if mu > _MU_CEILING:
                     termination = STEP_TOO_SMALL
                     break
@@ -330,7 +300,7 @@ def fit(problem, config=None):
             while True:
                 z = _dogleg(gn, gh, ah, radius)
                 znorm = float(np.linalg.norm(z))
-                if znorm < config.min_step_norm:
+                if znorm < _MIN_STEP_NORM:
                     termination = STEP_TOO_SMALL
                     break
                 trial = vec + z / dscale
@@ -353,7 +323,7 @@ def fit(problem, config=None):
         chi2 = new_chi2
         iterations += 1
         trace.append(chi2)
-        if delta <= config.chi2_abs_tol + config.chi2_rel_tol * chi2:
+        if delta <= _CHI2_ABS_TOL + _CHI2_REL_TOL * chi2:
             small_count += 1
             if small_count >= 2:
                 termination = CONVERGED
@@ -385,24 +355,21 @@ def _solve_normal_stack(a, b):
 class _Lockstep:
     """The unfinished problems of a ``fit_many`` batch, one row each."""
 
-    __slots__ = ("index", "x", "y", "sigma", "vec", "fvec", "chi2", "mu", "small", "iterations")
+    __slots__ = ("index", "x", "y", "vec", "fvec", "chi2", "mu", "small", "iterations")
 
     def take(self, keep):
         for name in self.__slots__:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
+            setattr(self, name, getattr(self, name)[keep])
 
     def residuals(self, vecs):
-        r = _kernels.sumsines_eval(self.x, vecs) - self.y
-        return r if self.sigma is None else r / self.sigma
+        return _kernels.sumsines_eval(self.x, vecs) - self.y
 
 
 def fit_many(problems, config=None):
     """Levenberg-Marquardt over many sum-of-sines problems in lockstep.
 
     The problems share one point count and one term count; abscissa,
-    ordinate, weights and start are each problem's own. One round takes one
+    ordinate and start are each problem's own. One round takes one
     damped trial step for every unfinished problem, with the Jacobians
     (B, N, P), normal matrices (B, P, P) and solves stacked, while mu, the
     counters and the termination stay per problem. Finished problems leave
@@ -430,38 +397,31 @@ def fit_many(problems, config=None):
     n = len(problems[0].series.ordinate)
     p = problems[0].initial.n_params
     errors = {}  # problem index -> the exception fit raises on it
-    sigmas = []
     for i, problem in enumerate(problems):
         if (len(problem.series.ordinate), problem.initial.n_params) != (n, p):
             raise LengthMismatchError("fit_many needs one point count and one term count")
         try:
-            sigma = problem.sigma()
             problem.initial.validate()
             if n < p:
                 raise TooFewPointsError(f"{n} points cannot constrain {p} parameters")
         except SigfitError as exc:
             errors[i] = exc  # no later problem can fail first
             break
-        sigmas.append(sigma)
-    if not sigmas:
+    chosen = problems[: min(errors, default=len(problems))]
+    if not chosen:
         raise errors[0]
-    chosen = problems[: len(sigmas)]
     b = _Lockstep()
     b.index = np.arange(len(chosen))
     b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in chosen]).reshape(-1, n)
     b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in chosen]).reshape(-1, n)
-    weighted = any(q.weights is not None for q in chosen)
-    b.sigma = np.array(sigmas).reshape(-1, n) if weighted else None  # sigma 1 divides exactly
     b.vec = np.array([q.initial.param_vector() for q in chosen]).reshape(-1, p)
     b.fvec = b.residuals(b.vec)
     b.chi2 = _dots(b.fvec)
-    b.mu = np.full(len(chosen), config.initial_mu)
+    b.mu = np.full(len(chosen), _MU_INITIAL)
     b.small = np.zeros(len(chosen), dtype=int)
     b.iterations = np.zeros(len(chosen), dtype=int)
     traces = [[c] for c in b.chi2.tolist()]
     results = [None] * len(problems)
-    tol_abs, tol_rel = config.chi2_abs_tol, config.chi2_rel_tol
-    mu_decrease, mu_increase = config.mu_decrease, config.mu_increase
 
     def fail(mask, message):
         for i in b.index[mask].tolist():
@@ -492,8 +452,6 @@ def fit_many(problems, config=None):
         # current point is the one fit took there (rejected trials leave
         # the point, and so the Jacobian, unchanged)
         jac = _kernels.sumsines_jac(b.x, b.vec)
-        if b.sigma is not None:
-            jac = jac / b.sigma[:, :, None]
         grad = (jac.transpose(0, 2, 1) @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
         # chi2 >= 0, so chi2.all() says no chi2 is zero
         if not (np.isfinite(jac).all() and b.chi2.all() and grad.any(axis=1).all()):
@@ -512,7 +470,7 @@ def fit_many(problems, config=None):
             damp = np.where(damp > 0, damp, floor)
         ata.reshape(len(ata), -1)[:, :: p + 1] += b.mu[:, None] * damp  # the diagonals
         d = _solve_normal_stack(ata, -grad)
-        stagnant = np.sqrt(_dots(d)) < config.min_step_norm  # zero-change iterations
+        stagnant = np.sqrt(_dots(d)) < _MIN_STEP_NORM  # zero-change iterations
         trial = b.vec + d
         ft = b.residuals(trial)
         finite = np.isfinite(ft).all(axis=1)
@@ -524,11 +482,11 @@ def fit_many(problems, config=None):
         accept = ~stagnant & (c <= b.chi2)
         advanced = stagnant | accept
         reject = ~advanced
-        b.mu = np.where(accept, b.mu * mu_decrease, np.where(reject, b.mu * mu_increase, b.mu))
+        b.mu = np.where(accept, b.mu * _MU_DECREASE, np.where(reject, b.mu * _MU_INCREASE, b.mu))
         b.vec = np.where(accept[:, None], trial, b.vec)
         b.fvec = np.where(accept[:, None], ft, b.fvec)
         new_chi2 = np.where(accept, c, b.chi2)
-        small_step = b.chi2 - new_chi2 <= tol_abs + tol_rel * new_chi2
+        small_step = b.chi2 - new_chi2 <= _CHI2_ABS_TOL + _CHI2_REL_TOL * new_chi2
         b.chi2 = new_chi2
         b.iterations += advanced
         b.small = np.where(advanced, np.where(small_step, b.small + 1, 0), b.small)
@@ -549,7 +507,7 @@ def fit_many(problems, config=None):
     return results
 
 
-def fit_series(series, family, n_terms=1, config=None, weights=None):
+def fit_series(series, family, n_terms=1, config=None):
     """Convenience wrapper: initial guess + fit in one call."""
     guess = models.initial_guess(family, series, n_terms)
-    return fit(FitProblem(series, guess, weights), config)
+    return fit(FitProblem(series, guess), config)

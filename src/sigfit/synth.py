@@ -175,13 +175,19 @@ def make_sample(template, sample_index, rng, forged=False, n_points=None):
     return SignatureSample(template.user_id, sample_index, label, data)
 
 
-def generate_samples(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, table_variety=True):
+def generate_samples(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
     """In-memory dataset: ``genuine`` + ``forged`` samples per user.
 
-    With ``table_variety`` the first user's first two genuine samples are
-    pinned at 500 and 270 points so batches always contain markedly
-    different lengths.
+    The first user's first two samples are pinned at 500 and 270 points so
+    batches always contain markedly different lengths. At least one user
+    and one sample per user are required; negative counts are refused.
     """
+    if n_users < 1:
+        raise InvalidParamsError(f"users {n_users} < 1: nothing to generate")
+    if genuine < 0 or forged < 0:
+        raise InvalidParamsError(f"negative sample count: genuine {genuine}, forged {forged}")
+    if genuine + forged == 0:
+        raise InvalidParamsError("genuine + forged is 0: nothing to generate")
     samples = []
     for u in range(1, n_users + 1):
         user_id = str(u)
@@ -191,22 +197,23 @@ def generate_samples(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, table
             rng = np.random.default_rng(np.random.SeedSequence([seed, u, s]))
             is_forged = s > genuine
             n_points = None
-            if table_variety and u == 1 and s == 1:
+            if u == 1 and s == 1:
                 n_points = 500
-            elif table_variety and u == 1 and s == 2:
+            elif u == 1 and s == 2:
                 n_points = 270
             samples.append(make_sample(template, s, rng, is_forged, n_points))
     return samples
 
 
-def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, table_variety=True):
+def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
     """Write U<user>S<sample>.TXT files; returns the list of paths.
 
     File numbers follow the 20 + 20 convention ``ingest.load_dataset``
     labels by: genuine samples are S1..S<genuine> and forgeries are
     numbered from S21 on, whatever the split, so the loader reads back the
     labels written here. More than 20 genuine samples cannot be labelled
-    that way and are refused.
+    that way and are refused, as are the counts ``generate_samples``
+    refuses; nothing is written then.
     """
     from .ingest import serialize_sample
 
@@ -215,10 +222,11 @@ def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20, ta
             f"genuine {genuine} > {DEFAULT_GENUINE_MAX}: the loader labels files "
             f"S{DEFAULT_GENUINE_MAX + 1} and up as forgeries"
         )
+    samples = generate_samples(n_users, seed, genuine, forged)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     paths = []
-    for sample in generate_samples(n_users, seed, genuine, forged, table_variety):
+    for sample in samples:
         number = sample.sample_index
         if sample.label == FORGED:
             number += DEFAULT_GENUINE_MAX - genuine

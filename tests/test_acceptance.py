@@ -200,31 +200,32 @@ def runtime_scaling_probe(sizes, config=None, repeats=5, max_iterations=12, seed
     iteration cap so the probe reflects per-iteration cost. The log-log
     slope estimates the scaling exponent (1.0 = linear in series length).
     """
-    base = (config or PipelineConfig()).solver
-    probe_config = replace(
-        base, max_iterations=max_iterations, chi2_abs_tol=1e-300, chi2_rel_tol=1e-300
-    )
+    probe_config = replace((config or PipelineConfig()).solver, max_iterations=max_iterations)
     rng = np.random.default_rng(seed)
     timings = []
-    for size in sizes:
-        x = np.arange(size, dtype=float)
-        y = (
-            4000.0
-            + 900.0 * np.sin(0.021 * x + 0.3)
-            + 350.0 * np.sin(0.143 * x + 1.1)
-            + 180.0 * np.sin(0.31 * x + 2.0)
-            + rng.normal(0.0, 20.0, size)
-        )
-        series = ChannelSeries(x, y)
-        guess = models.initial_guess("sum-of-sines", series, 11)
-        problem = solver.FitProblem(series, guess)
-        solver.fit(problem, probe_config)  # warmup: first-call costs
-        reps = []
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            solver.fit(problem, probe_config)
-            reps.append(time.perf_counter() - t0)
-        timings.append((int(size), float(np.median(reps))))
+    with pytest.MonkeyPatch.context() as mp:  # restored when the probe ends
+        # tolerances no fit can meet: every run goes to the cap
+        mp.setattr(solver, "_CHI2_ABS_TOL", 1e-300)
+        mp.setattr(solver, "_CHI2_REL_TOL", 1e-300)
+        for size in sizes:
+            x = np.arange(size, dtype=float)
+            y = (
+                4000.0
+                + 900.0 * np.sin(0.021 * x + 0.3)
+                + 350.0 * np.sin(0.143 * x + 1.1)
+                + 180.0 * np.sin(0.31 * x + 2.0)
+                + rng.normal(0.0, 20.0, size)
+            )
+            series = ChannelSeries(x, y)
+            guess = models.initial_guess("sum-of-sines", series, 11)
+            problem = solver.FitProblem(series, guess)
+            solver.fit(problem, probe_config)  # warmup: first-call costs
+            reps = []
+            for _ in range(max(repeats, 1)):
+                t0 = time.perf_counter()
+                solver.fit(problem, probe_config)
+                reps.append(time.perf_counter() - t0)
+            timings.append((int(size), float(np.median(reps))))
     distinct = sorted({s for s, _ in timings})
     if len(distinct) < 2:
         return ProbeResult(tuple(timings), None)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from sigfit import cli, ingest, pipeline
+from sigfit import cli, ingest, pipeline, synth
+from sigfit.errors import InvalidParamsError
 
 FAST = ["--terms", "3", "--max-iterations", "60"]
 
@@ -381,6 +382,19 @@ class TestSynthCommand:
         out = tmp_path / "out"
         limit = ingest.DEFAULT_GENUINE_MAX
         assert run_cli(["synth", "--users", "1", "--genuine", limit + 1, "--out", out]) == 2
+        assert not list(out.glob("*.TXT"))
+
+    @pytest.mark.parametrize(
+        "users,genuine,forged",
+        [(0, 20, 20), (1, 20, -5), (1, -1, 3), (1, 0, 0)],
+        ids=["no-users", "negative-forged", "negative-genuine", "no-samples"],
+    )
+    def test_counts_it_cannot_honour_exit_2(self, tmp_path, users, genuine, forged):
+        with pytest.raises(InvalidParamsError):
+            synth.generate_samples(n_users=users, genuine=genuine, forged=forged)
+        out = tmp_path / "out"
+        args = ["--users", users, "--genuine", genuine, "--forged", forged, "--out", out]
+        assert run_cli(["synth", *args]) == 2
         assert not list(out.glob("*.TXT"))
 
 

@@ -148,13 +148,22 @@ class TestLoadDataset:
     def test_manifest_entries(self, tmp_path):
         synth.write_dataset(tmp_path, n_users=1, genuine=2, forged=2)
         index = ingest.load_dataset(tmp_path)
-        manifest = ingest.dataset_manifest(index, tmp_path)
+        manifest = ingest.dataset_manifest(index)
         assert len(manifest["samples"]) == 4
         entry = manifest["samples"][0]
         assert set(entry) == {"user_id", "sample_index", "label", "n_points", "source_path"}
+        assert entry["source_path"] == str(tmp_path / "U1S1.TXT")
         out = tmp_path / "manifest.json"
-        ingest.write_dataset_manifest(index, out, tmp_path)
+        ingest.write_dataset_manifest(index, out)
         assert out.is_file()
+
+    def test_manifest_names_the_file_that_was_read(self, tmp_path):
+        # zero-padded numbers and a lower-case suffix, as some corpora ship
+        (tmp_path / "U01S01.txt").write_text(TABLE_STYLE_FILE)
+        index = ingest.load_dataset(tmp_path)
+        (entry,) = ingest.dataset_manifest(index)["samples"]
+        assert (entry["user_id"], entry["sample_index"]) == ("01", 1)
+        assert entry["source_path"] == str(tmp_path / "U01S01.txt")
 
     def test_custom_pattern(self, tmp_path):
         (tmp_path / "sig_7_3.txt").write_text(TABLE_STYLE_FILE)

@@ -59,7 +59,7 @@ class TestAreaBetween:
         # offset c over uniform spacing dx: area = c * n * dx under the
         # first-interval-uses-following-gap convention
         x = np.arange(0.0, 20.0, 2.0)
-        seg = selection.Segment(0, x, np.zeros(10))
+        seg = selection.Segment(x, np.zeros(10))
         area = selection.area_between(seg, np.zeros(10), np.full(10, 3.0))
         assert area == pytest.approx(3.0 * 10 * 2.0)
 
@@ -68,7 +68,7 @@ class TestAreaBetween:
         x = np.linspace(0.0, 30.0, 400)
         f = 3.0 * np.sin(0.7 * x) + 0.2 * x
         g = 0.05 * (x - 15.0) ** 2 - 2.0
-        seg = selection.Segment(0, x, f)
+        seg = selection.Segment(x, f)
         area = selection.area_between(seg, f, g)
         fine = np.linspace(x[0], x[-1], 40_001)
         oracle = np.trapezoid(np.abs(np.interp(fine, x, f) - np.interp(fine, x, g)), fine)
@@ -77,7 +77,7 @@ class TestAreaBetween:
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         x = np.arange(25.0)
-        seg = selection.Segment(0, x, rng.normal(size=25))
+        seg = selection.Segment(x, rng.normal(size=25))
         assert selection.area_between(seg, seg.ordinate, rng.normal(size=25)) >= 0.0
 
     def test_length_mismatch(self):

@@ -199,8 +199,10 @@ def _user_sort_key(user_id):
 def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GENUINE_MAX):
     """Parse every matching file under ``root`` into a DatasetIndex.
 
-    Bad files fail individually and are collected in ``errors``; one bad
-    capture never aborts a batch. Per-user counts are reported, not
+    Numbers are read as integers: of ``U01S01.txt`` and ``U1S1.TXT`` the
+    first in name order that parses is kept, the other is a duplicate in
+    ``errors``. Bad files fail individually and are collected there too;
+    one bad capture never aborts a batch. Per-user counts are reported, not
     enforced.
     """
     root = Path(root)
@@ -209,19 +211,26 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
     pattern = re.compile(name_pattern)
     index = DatasetIndex()
     matched = 0
+    loaded = {}  # (user, sample number) -> the path it was read from
     for path in sorted(root.iterdir()):
         m = pattern.search(path.name)
         if not m:
             continue
         matched += 1
         user = m.group("user")
+        user = str(int(user)) if user.isdecimal() else user  # U01 and U1 are one user
         sample_no = int(m.group("sample"))
+        if (user, sample_no) in loaded:
+            issue = f"duplicate of {loaded[user, sample_no]}: user {user}, sample {sample_no}"
+            index.errors.append(FileIssue(str(path), issue))
+            continue
         label = GENUINE if sample_no <= genuine_max else FORGED
         try:
             sample = parse_sample(path.read_text(), user, sample_no, label, str(path))
         except Exception as exc:  # noqa: BLE001 - per-file errors are report entries
             index.errors.append(FileIssue(str(path), f"{type(exc).__name__}: {exc}"))
             continue
+        loaded[user, sample_no] = sample.source_path
         index.warnings.extend(check_sample(sample, source=sample.source_path))
         bucket = index.genuine if label == GENUINE else index.forged
         bucket.setdefault(user, []).append(sample)

@@ -2,9 +2,11 @@
 
 Every family is a frozen dataclass exposing the same small surface:
 ``family`` tag, ``n_params``, ``param_vector()``, ``from_vector()`` /
-``with_vector()``, ``validate()``, and the raw-vector trio ``eval_vec``,
-``jac_vec`` and ``feasible``. ``evaluate`` and ``jacobian`` validate and
-make one method call, so solver code never special-cases model types.
+``with_vector()``, ``validate()``, the raw-vector trio ``eval_vec``,
+``jac_vec`` and ``feasible``, its start ``seed()``, its ``canonical()``
+form and the ``rescaled()`` retry start. ``evaluate``, ``jacobian``,
+``initial_guess`` and ``canonicalize`` make one method call, so solver and
+pipeline code never special-case model types.
 
 Canonical parameter orders (frozen; feature-vector layout depends on them):
 
@@ -31,13 +33,15 @@ from .errors import DomainError, InvalidParamsError, TooFewPointsError
 
 
 class _Family:
-    """What every family shares: rebuild from a flat vector, feasibility.
+    """What every family shares: rebuild from a flat vector, feasibility,
+    canonical form and the rescaled retry start.
 
     Each family adds ``eval_vec(v, x)`` and ``jac_vec(v, x)``: values and
     Jacobian at a raw parameter vector ``v`` in canonical order, without a
-    dataclass rebuild. ``feasible(v)`` is the cheap invariant check the
-    solver uses to reject trial steps without exceptions; it is true
-    exactly when ``with_vector(v).validate()`` passes.
+    dataclass rebuild, and the classmethod ``seed(x, y, n_terms)``: its
+    starting point for a fit to ``y`` over ``x``. ``feasible(v)`` is the
+    cheap invariant check the solver uses to reject trial steps without
+    exceptions; it is true exactly when ``with_vector(v).validate()`` passes.
     """
 
     @classmethod
@@ -56,6 +60,14 @@ class _Family:
         except InvalidParamsError:
             return False
         return True
+
+    def canonical(self):
+        """The deterministic representative of equivalent parameter sets."""
+        return self
+
+    def rescaled(self):
+        """The retry start after a non-finite model: every parameter halved."""
+        return self.with_vector(0.5 * self.param_vector())
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,93 @@ class SumOfSines(_Family):
 
     def jac_vec(self, v, x):
         return _kernels.sumsines_jac(x, v)
+
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        """Greedy tone seeding: pick the strongest residual frequency, refit
+        all amplitudes and phases jointly by linear least squares, repeat.
+
+        The first term starts at a small fraction of a period over the span:
+        there sin(Bx) and cos(Bx) span nearly {x, 1}, so the term carries the
+        level and linear trend the zero-mean family otherwise lacks, while the
+        arc stays curved enough for its three partials to be independent.
+        """
+        _require_points(y, 3 * n_terms)
+        span = max(float(x[-1] - x[0]), 1.0)
+        b_level = 0.3 / span
+        freqs = [b_level]
+        coef, *_ = np.linalg.lstsq(_sine_design(x, freqs), y, rcond=None)
+        residual = y - _sine_design(x, freqs) @ coef
+        want = max(n_terms, 2) if n_terms == 1 else n_terms
+        while len(freqs) < want:
+            w = _dominant_frequency(x, residual)
+            if w is None:
+                break
+            freqs.append(w)
+            design = _sine_design(x, freqs)
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            residual = y - design @ coef
+        # cyclic reassignment: re-pick each tone against the others' residual,
+        # so a slot wasted on leakage moves to a genuinely missed tone
+        for _ in range(2 if len(freqs) > 2 else 0):
+            for i in range(1, len(freqs)):
+                others = _sine_design(x, freqs[:i] + freqs[i + 1 :])
+                coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
+                w = _dominant_frequency(x, y - others @ coef_o)
+                if w is not None:
+                    freqs[i] = w
+            design = _sine_design(x, freqs)
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        if len(freqs) > 1:
+            # the level slot must defend its place: on level-free data it is
+            # better spent on one more tone
+            others = _sine_design(x, freqs[1:])
+            coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
+            w = _dominant_frequency(x, y - others @ coef_o)
+            if w is not None:
+                challenger = [w] + freqs[1:]
+                design_c = _sine_design(x, challenger)
+                coef_c, *_ = np.linalg.lstsq(design_c, y, rcond=None)
+                design = _sine_design(x, freqs)
+                coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+                if np.sum((y - design_c @ coef_c) ** 2) < np.sum((y - design @ coef) ** 2):
+                    freqs, coef = challenger, coef_c
+        terms = [
+            (math.hypot(float(coef[2 * i]), float(coef[2 * i + 1])),
+             float(w),
+             math.atan2(float(coef[2 * i + 1]), float(coef[2 * i])))
+            for i, w in enumerate(freqs)
+        ]
+        if n_terms == 1:
+            # a lone term goes to whichever component dominates
+            return cls((max(terms, key=lambda t: abs(t[0])),))
+        scale = max(float(np.std(y)), 1.0)
+        i = 0
+        while len(terms) < n_terms:  # short spectra: pad with distinct frequencies
+            i += 1
+            terms.append((1e-3 * scale, (0.5 + 0.25 * i) * np.pi / span, 0.0))
+        return cls(tuple(terms[:n_terms]))
+
+    def canonical(self):
+        """Amplitude >= 0, frequency >= 0, phase in [-pi, pi], sorted by frequency.
+
+        Sign/phase flips and reordering leave the curve unchanged; fixing them
+        makes vectors of independently fitted samples comparable.
+        """
+        terms = []
+        for a, b, c in self.terms:
+            if b < 0:
+                a, b, c = -a, -b, -c
+            if a < 0:
+                a, c = -a, c + np.pi
+            c = math.remainder(c, 2.0 * np.pi)  # wraps into [-pi, pi]
+            terms.append((a, b, c))
+        terms.sort(key=lambda t: (t[1], -t[0], t[2]))
+        return SumOfSines(tuple(terms))
+
+    def rescaled(self):
+        """Amplitudes halved, to pull evaluation back into range."""
+        return SumOfSines(tuple((0.5 * a, b, c) for a, b, c in self.terms))
 
 
 @dataclass(frozen=True)
@@ -145,6 +244,22 @@ class Fourier(_Family):
     def jac_vec(self, v, x):
         return _kernels.fourier_jac(x, v)
 
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        _require_points(y, 2 * n_terms + 2)
+        n = len(y)
+        dx = (x[-1] - x[0]) / (n - 1) if n > 1 else 1.0
+        omega = 2.0 * np.pi / (n * dx)
+        spectrum = np.fft.rfft(y - np.mean(y))
+        terms = []
+        for i in range(1, n_terms + 1):
+            if i < len(spectrum):
+                c = (2.0 / n) * spectrum[i] * np.exp(-1j * i * omega * x[0])
+                terms.append((float(c.real), float(-c.imag)))
+            else:
+                terms.append((0.0, 0.0))
+        return cls(float(np.mean(y)), tuple(terms), float(omega))
+
 
 @dataclass(frozen=True)
 class Polynomial(_Family):
@@ -189,6 +304,11 @@ class Polynomial(_Family):
         # row i = [x_i^k, ..., x_i, 1]
         return np.vander(x, N=v.size, increasing=False)
 
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        _require_points(y, n_terms + 1)
+        return cls(tuple(np.polyfit(x, y, n_terms)))
+
 
 @dataclass(frozen=True)
 class Weibull(_Family):
@@ -221,6 +341,36 @@ class Weibull(_Family):
 
     def jac_vec(self, v, x):
         return _kernels.weibull_jac(x, v)
+
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        """Peak-anchored seed: bump at the strongest crest, half-max width.
+
+        The usual peak-function start (anchor at the smoothed maximum, width
+        from the half-maximum crossings) with a gamma=2 skew default.
+        """
+        _require_points(y, 4)
+        span = max(float(x[-1] - x[0]), 1.0)
+        if len(y) >= 5:
+            kernel = np.ones(5) / 5.0
+            smooth = np.convolve(y, kernel, mode="same")
+        else:
+            smooth = y
+        k = int(np.argmax(smooth))
+        peak = float(smooth[k])
+        half = peak / 2.0
+        left = k
+        while left > 0 and smooth[left] > half:
+            left -= 1
+        right = k
+        while right < len(y) - 1 and smooth[right] > half:
+            right += 1
+        width = float(x[right] - x[left]) if right > left else span / 4.0
+        gamma = 2.0
+        alpha = max(width, 1e-9 * span, 1e-12)
+        mu = float(x[k]) - alpha / np.sqrt(2.0)  # gamma=2 mode sits at mu + alpha/sqrt(2)
+        peak_density = 0.8577 / alpha  # unit-mass gamma=2 mode height
+        return cls(gamma, mu, alpha, peak / peak_density)
 
 
 @dataclass(frozen=True)
@@ -262,6 +412,12 @@ class Weibull2(_Family):
             jac[pos, 1] = -f[pos] * beta * tb[pos] / lam
         return jac
 
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        _require_points(y, 2)
+        scale = max(float(np.mean(np.abs(x))), 1e-12)
+        return cls(1.0, 1.0 / scale)
+
 
 @dataclass(frozen=True)
 class Parabola(_Family):
@@ -291,6 +447,16 @@ class Parabola(_Family):
             col = np.where(arg > 0, 2.0 * x / np.sqrt(np.where(arg > 0, arg, 1.0)), 0.0)
         return col[:, None]
 
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        """Closed-form least squares of y = 2*sqrt(a*x) over a (a >= 0)."""
+        _require_points(y, 1)
+        if np.any(x < 0):
+            raise DomainError("parabola real branch needs x >= 0")
+        denom = 2.0 * float(np.sum(x))
+        s = float(np.sum(y * np.sqrt(x))) / denom if denom > 0 else 0.0
+        return cls(max(s, 0.0) ** 2)
+
 
 @dataclass(frozen=True)
 class ScaledExponential(_Family):
@@ -314,11 +480,25 @@ class ScaledExponential(_Family):
             e = np.exp(v[1] * x)
         return np.column_stack([e, v[0] * x * e])
 
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        _require_points(y, 2)
+        pos = y > 0
+        if pos.sum() >= 2:
+            rate, log_scale = np.polyfit(x[pos], np.log(y[pos]), 1)
+            return cls(float(np.exp(log_scale)), float(rate))
+        scale = float(np.mean(np.abs(y)))
+        return cls(scale if scale > 0 else 1.0, 0.0)
+
 
 class _FixedCurve(_Family):
     """A reference curve with nothing to fit."""
 
     n_params = 0
+
+    @classmethod
+    def seed(cls, x, y, n_terms):
+        return cls()
 
     def param_vector(self):
         return np.zeros(0)
@@ -383,11 +563,10 @@ def jacobian(params, abscissa):
     return params.jac_vec(params.param_vector(), _as_x(abscissa))
 
 
-def _require_points(series, n_params):
-    if len(series.ordinate) < 2 * n_params:
+def _require_points(y, n_params):
+    if len(y) < 2 * n_params:
         raise TooFewPointsError(
-            f"need at least {2 * n_params} points to seed {n_params} parameters, "
-            f"got {len(series.ordinate)}"
+            f"need at least {2 * n_params} points to seed {n_params} parameters, got {len(y)}"
         )
 
 
@@ -429,191 +608,27 @@ def _sine_design(x, freqs):
     return np.column_stack(cols)
 
 
+def _family_class(family):
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise InvalidParamsError(f"unknown model family: {family!r}") from None
+
+
 def initial_guess(family, series, n_terms=1):
     """A feasible starting point aimed at the basin of a good fit.
 
     ``n_terms`` is the term count for sum-of-sines/fourier and the degree
     for polynomial; other families ignore it.
     """
-    cls = FAMILIES[family] if isinstance(family, str) else family
     x = np.asarray(series.abscissa, dtype=float)
     y = np.asarray(series.ordinate, dtype=float)
-
-    if cls is SumOfSines:
-        _require_points(series, 3 * n_terms)
-        return _guess_sumsines(x, y, n_terms)
-    if cls is Fourier:
-        _require_points(series, 2 * n_terms + 2)
-        return _guess_fourier(x, y, n_terms)
-    if cls is Polynomial:
-        degree = n_terms
-        _require_points(series, degree + 1)
-        return Polynomial(tuple(np.polyfit(x, y, degree)))
-    if cls is Weibull:
-        _require_points(series, 4)
-        return _guess_weibull(x, y)
-    if cls is Weibull2:
-        _require_points(series, 2)
-        scale = max(float(np.mean(np.abs(x))), 1e-12)
-        return Weibull2(1.0, 1.0 / scale)
-    if cls is Parabola:
-        _require_points(series, 1)
-        return fit_parabola_scale(x, y)
-    if cls is ScaledExponential:
-        _require_points(series, 2)
-        return _guess_scaled_exponential(x, y)
-    if cls in (Sine, Exponential):
-        return cls()
-    raise InvalidParamsError(f"unknown model family: {family!r}")
-
-
-def _guess_sumsines(x, y, n_terms):
-    """Greedy tone seeding: pick the strongest residual frequency, refit all
-    amplitudes and phases jointly by linear least squares, repeat.
-
-    The first term starts at a small fraction of a period over the span:
-    there sin(Bx) and cos(Bx) span nearly {x, 1}, so the term carries the
-    level and linear trend the zero-mean family otherwise lacks, while the
-    arc stays curved enough for its three partials to be independent.
-    """
-    span = max(float(x[-1] - x[0]), 1.0)
-    b_level = 0.3 / span
-    freqs = [b_level]
-    coef, *_ = np.linalg.lstsq(_sine_design(x, freqs), y, rcond=None)
-    residual = y - _sine_design(x, freqs) @ coef
-    want = max(n_terms, 2) if n_terms == 1 else n_terms
-    while len(freqs) < want:
-        w = _dominant_frequency(x, residual)
-        if w is None:
-            break
-        freqs.append(w)
-        design = _sine_design(x, freqs)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        residual = y - design @ coef
-    # cyclic reassignment: re-pick each tone against the others' residual,
-    # so a slot wasted on leakage moves to a genuinely missed tone
-    for _ in range(2 if len(freqs) > 2 else 0):
-        for i in range(1, len(freqs)):
-            others = _sine_design(x, freqs[:i] + freqs[i + 1 :])
-            coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
-            w = _dominant_frequency(x, y - others @ coef_o)
-            if w is not None:
-                freqs[i] = w
-        design = _sine_design(x, freqs)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    if len(freqs) > 1:
-        # the level slot must defend its place: on level-free data it is
-        # better spent on one more tone
-        others = _sine_design(x, freqs[1:])
-        coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
-        w = _dominant_frequency(x, y - others @ coef_o)
-        if w is not None:
-            challenger = [w] + freqs[1:]
-            design_c = _sine_design(x, challenger)
-            coef_c, *_ = np.linalg.lstsq(design_c, y, rcond=None)
-            design = _sine_design(x, freqs)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            if np.sum((y - design_c @ coef_c) ** 2) < np.sum((y - design @ coef) ** 2):
-                freqs, coef = challenger, coef_c
-    terms = [
-        (math.hypot(float(coef[2 * i]), float(coef[2 * i + 1])),
-         float(w),
-         math.atan2(float(coef[2 * i + 1]), float(coef[2 * i])))
-        for i, w in enumerate(freqs)
-    ]
-    if n_terms == 1:
-        # a lone term goes to whichever component dominates
-        return SumOfSines((max(terms, key=lambda t: abs(t[0])),))
-    scale = max(float(np.std(y)), 1.0)
-    i = 0
-    while len(terms) < n_terms:  # short spectra: pad with distinct frequencies
-        i += 1
-        terms.append((1e-3 * scale, (0.5 + 0.25 * i) * np.pi / span, 0.0))
-    return SumOfSines(tuple(terms[:n_terms]))
-
-
-def _guess_fourier(x, y, n_terms):
-    n = len(y)
-    dx = (x[-1] - x[0]) / (n - 1) if n > 1 else 1.0
-    omega = 2.0 * np.pi / (n * dx)
-    spectrum = np.fft.rfft(y - np.mean(y))
-    terms = []
-    for i in range(1, n_terms + 1):
-        if i < len(spectrum):
-            c = (2.0 / n) * spectrum[i] * np.exp(-1j * i * omega * x[0])
-            terms.append((float(c.real), float(-c.imag)))
-        else:
-            terms.append((0.0, 0.0))
-    return Fourier(float(np.mean(y)), tuple(terms), float(omega))
-
-
-def _guess_weibull(x, y):
-    """Peak-anchored seed: bump at the strongest crest, half-max width.
-
-    The usual peak-function start (anchor at the smoothed maximum, width
-    from the half-maximum crossings) with a gamma=2 skew default.
-    """
-    span = max(float(x[-1] - x[0]), 1.0)
-    if len(y) >= 5:
-        kernel = np.ones(5) / 5.0
-        smooth = np.convolve(y, kernel, mode="same")
-    else:
-        smooth = y
-    k = int(np.argmax(smooth))
-    peak = float(smooth[k])
-    half = peak / 2.0
-    left = k
-    while left > 0 and smooth[left] > half:
-        left -= 1
-    right = k
-    while right < len(y) - 1 and smooth[right] > half:
-        right += 1
-    width = float(x[right] - x[left]) if right > left else span / 4.0
-    gamma = 2.0
-    alpha = max(width, 1e-9 * span, 1e-12)
-    mu = float(x[k]) - alpha / np.sqrt(2.0)  # gamma=2 mode sits at mu + alpha/sqrt(2)
-    peak_density = 0.8577 / alpha  # unit-mass gamma=2 mode height
-    return Weibull(gamma, mu, alpha, peak / peak_density)
-
-
-def _guess_scaled_exponential(x, y):
-    pos = y > 0
-    if pos.sum() >= 2:
-        rate, log_scale = np.polyfit(x[pos], np.log(y[pos]), 1)
-        return ScaledExponential(float(np.exp(log_scale)), float(rate))
-    scale = float(np.mean(np.abs(y)))
-    return ScaledExponential(scale if scale > 0 else 1.0, 0.0)
-
-
-def fit_parabola_scale(x, y):
-    """Closed-form least squares of y = 2*sqrt(a*x) over a (a >= 0)."""
-    if np.any(x < 0):
-        raise DomainError("parabola real branch needs x >= 0")
-    denom = 2.0 * float(np.sum(x))
-    s = float(np.sum(y * np.sqrt(x))) / denom if denom > 0 else 0.0
-    return Parabola(max(s, 0.0) ** 2)
+    return _family_class(family).seed(x, y, n_terms)
 
 
 def canonicalize(params):
-    """Deterministic representative of an equivalence class of parameters.
-
-    Sum-of-sines terms admit sign/phase flips and reordering that leave the
-    curve unchanged; fixing amplitude >= 0, frequency >= 0, phase in
-    [-pi, pi] and sorting by frequency makes coefficient vectors comparable
-    across independently fitted samples. Other families return unchanged.
-    """
-    if not isinstance(params, SumOfSines):
-        return params
-    terms = []
-    for a, b, c in params.terms:
-        if b < 0:
-            a, b, c = -a, -b, -c
-        if a < 0:
-            a, c = -a, c + np.pi
-        c = math.remainder(c, 2.0 * np.pi)  # wraps into [-pi, pi]
-        terms.append((a, b, c))
-    terms.sort(key=lambda t: (t[1], -t[0], t[2]))
-    return SumOfSines(tuple(terms))
+    """Deterministic representative of the parameter sets giving one curve."""
+    return params.canonical()
 
 
 def params_to_dict(params):
@@ -622,7 +637,7 @@ def params_to_dict(params):
 
 
 def params_from_dict(d):
-    return FAMILIES[d["family"]].from_vector(np.asarray(d["coefficients"], dtype=float))
+    return _family_class(d["family"]).from_vector(np.asarray(d["coefficients"], dtype=float))
 
 
 def params_to_json(params):

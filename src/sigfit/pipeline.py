@@ -9,7 +9,8 @@ coefficients, identical for every sample regardless of its point count.
 
 The alternative ``per_segment_fit`` mode splits each channel into a fixed
 number of near-equal parts (default 11) and fits a single-term sinusoid
-per part, again 3 coefficients each, so the vector length is preserved at
+per part (a degree ``timestamp_degree`` polynomial on the timestamp
+channel), again 3 coefficients each, so the vector length is preserved at
 the default settings. The part count is fixed rather than the part size
 because a fixed size would make the vector length depend on the sample.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _blas, gof, models, solver
-from .errors import NonFiniteValueError, SigfitError
+from .errors import SigfitError
 from .ingest import ChannelSeries, extract_channel, N_CHANNELS, _user_sort_key
 from .solver import SolverConfig
 
@@ -49,6 +50,9 @@ class PipelineConfig:
             raise SigfitError("n_terms must be >= 1")
         if self.timestamp_degree < 0:
             raise SigfitError("timestamp_degree must be >= 0")
+        width = 3 if self.per_segment_fit else self.block_width  # what one fit fills
+        if self.timestamp_degree >= width:
+            raise SigfitError(f"timestamp_degree must be < {width}, the coefficients of one fit")
         if self.timestamp_channel is not None and self.timestamp_channel not in self.channels:
             raise SigfitError("timestamp_channel must be one of channels, or None")
         if self.per_segment_fit and self.n_segments < 1:
@@ -63,9 +67,15 @@ class PipelineConfig:
     def vector_length(self):
         return len(self.channels) * self.block_width
 
+    def channel_model(self, channel):
+        """(family, n_terms) of each fit on one channel: the whole channel or a part."""
+        if channel == self.timestamp_channel:
+            return TIMESTAMP_FAMILY, self.timestamp_degree
+        return "sum-of-sines", 1 if self.per_segment_fit else self.n_terms
+
     def channel_family(self, channel):
         """The family label of one channel's block, as its fit reports it."""
-        family = TIMESTAMP_FAMILY if channel == self.timestamp_channel else "sum-of-sines"
+        family = self.channel_model(channel)[0]
         return "segmented-" + family if self.per_segment_fit else family
 
     def layout(self):
@@ -112,25 +122,6 @@ class FeatureVector:
         return sum(len(b) for b in self.blocks)
 
 
-def _rescaled_guess(guess):
-    # documented single retry: halve amplitudes to pull evaluation back to range
-    vec = guess.param_vector()
-    if isinstance(guess, models.SumOfSines):
-        vec = vec.copy()
-        vec[0::3] *= 0.5
-    else:
-        vec = 0.5 * vec
-    return guess.with_vector(vec)
-
-
-def _fit_channel(series, family, n_terms, config):
-    guess = models.initial_guess(family, series, n_terms)
-    try:
-        return solver.fit(solver.FitProblem(series, guess), config)
-    except NonFiniteValueError:
-        return solver.fit(solver.FitProblem(series, _rescaled_guess(guess)), config)
-
-
 def _gof_safe(series, params):
     try:
         report = gof.gof_report(series, params)
@@ -140,9 +131,8 @@ def _gof_safe(series, params):
 
 
 def _whole_channel_block(series, channel, config):
-    family = config.channel_family(channel)
-    n_terms = config.timestamp_degree if channel == config.timestamp_channel else config.n_terms
-    result = _fit_channel(series, family, n_terms, config.solver)
+    family, n_terms = config.channel_model(channel)
+    result = solver.fit_series(series, family, n_terms, config.solver)
     params = models.canonicalize(result.params)
     coeffs = params.param_vector()
     block = np.zeros(config.block_width)
@@ -155,34 +145,26 @@ def _whole_channel_block(series, channel, config):
 def _segmented_block(series, channel, config):
     x = np.asarray(series.abscissa, dtype=float)
     y = np.asarray(series.ordinate, dtype=float)
+    family, n_terms = config.channel_model(channel)
     parts = np.array_split(np.arange(len(y)), config.n_segments)
-    coeffs = []
+    block = np.zeros(config.block_width)
     predictions = np.empty_like(y)
     iterations = 0
     termination = solver.CONVERGED
-    timestamp = channel == config.timestamp_channel
-    for idx in parts:
+    for k, idx in enumerate(parts):
         if len(idx) < 2:
             raise SigfitError(
                 f"{len(y)} points cannot be split into {config.n_segments} parts of >= 2"
             )
         u = x[idx]
         u = (u - u[0]) / (u[-1] - u[0])
-        part = ChannelSeries(u, y[idx])
-        if timestamp:
-            result = _fit_channel(part, TIMESTAMP_FAMILY, 1, config.solver)
-            vec = result.params.param_vector()
-            part_coeffs = np.zeros(3)
-            part_coeffs[: len(vec)] = vec
-        else:
-            result = _fit_channel(part, "sum-of-sines", 1, config.solver)
-            part_coeffs = models.canonicalize(result.params).param_vector()
-        coeffs.append(part_coeffs)
+        result = solver.fit_series(ChannelSeries(u, y[idx]), family, n_terms, config.solver)
+        coeffs = models.canonicalize(result.params).param_vector()
+        block[3 * k : 3 * k + len(coeffs)] = coeffs
         predictions[idx] = models.evaluate(result.params, u)
         iterations += result.iterations
         if result.termination != solver.CONVERGED:
             termination = result.termination
-    block = np.concatenate(coeffs)
     _, _, r2, rmse = gof.fit_statistics(y, predictions, 3 * config.n_segments)
     info = ChannelFit(channel, config.channel_family(channel), termination, r2, rmse, iterations)
     return block, info
@@ -220,6 +202,9 @@ def preprocess_sample(sample, config=None):
     )
 
 
+_CHUNK = 4  # samples per pool task
+
+
 @dataclass
 class BatchResult:
     vectors: list
@@ -237,12 +222,14 @@ def uniformize_dataset(samples, config=None, jobs=1):
     Per-sample failures land in the report, never abort the batch. Output
     order is deterministic: sorted by (user_id, sample_index). Every fit,
     serial or in a pool worker, runs on one BLAS thread; the report records
-    that count (None without BLAS thread control) and the worker count.
+    that count (None without BLAS thread control) and the worker count,
+    which is at most one per chunk of 4 samples.
     """
     config = config or PipelineConfig()
     config.validate()
     samples = sorted(samples, key=lambda s: (_user_sort_key(s.user_id), s.sample_index))
-    jobs = jobs if jobs > 1 and len(samples) > 1 else 1
+    # a forked pool starts all its workers at once: no more than there are chunks
+    jobs = max(1, min(jobs, -(-len(samples) // _CHUNK)))
     # the fits run on one BLAS thread: a second one only busy-waits, and pool
     # workers would crowd each other off the cores
     with _blas.single_thread() as blas_threads:
@@ -251,7 +238,7 @@ def uniformize_dataset(samples, config=None, jobs=1):
                 max_workers=jobs, initializer=_blas.set_threads, initargs=(1,)
             ) as pool:
                 vectors = list(
-                    pool.map(_preprocess_star, ((s, config) for s in samples), chunksize=4)
+                    pool.map(_preprocess_star, ((s, config) for s in samples), chunksize=_CHUNK)
                 )
         else:
             vectors = [preprocess_sample(s, config) for s in samples]

@@ -11,8 +11,9 @@ rescaled to [0, 1], which keeps the fixed forms on a sane scale:
 * ``sinusoidal``   single-term sum-of-sines, fitted (a channel's segments
   fit in lockstep, see ``_sinusoidal_references``)
 * ``parabolic``    y = 2*sqrt(a*x), scale a fitted in closed form
-* any model family tag: fitted per segment with a one-term guess; the
-  fixed ``exponential`` (y = e^x) and ``sine`` curves have nothing to fit
+* any model family tag: fitted per segment by ``solver.fit_series`` with
+  one term; the fixed ``exponential`` (y = e^x) and ``sine`` curves have
+  nothing to fit
 
 Absolute differences are used because real channels cross the reference
 curves and signed areas would cancel. The first point of a segment has no
@@ -150,18 +151,11 @@ def reference_curve(candidate, seg):
     if candidate == "sinusoidal":
         return _sinusoidal_references([seg])[0]
     if candidate == "parabolic":
-        return models.evaluate(models.fit_parabola_scale(u, y), u)
+        return models.evaluate(models.Parabola.seed(u, y, 1), u)
     if candidate in models.FAMILIES:
-        return models.evaluate(_fit_generic(u, y, candidate), u)
+        result = solver.fit_series(ChannelSeries(u, y), candidate, 1, _SEGMENT_FIT_CONFIG)
+        return models.evaluate(result.params, u)
     raise InvalidParamsError(f"unknown candidate {candidate!r}")
-
-
-def _fit_generic(u, y, family):
-    series = ChannelSeries(u, y)
-    guess = models.initial_guess(family, series, 1)
-    if guess.n_params == 0:
-        return guess
-    return solver.fit(solver.FitProblem(series, guess), _SEGMENT_FIT_CONFIG).params
 
 
 def rank_families(series, candidates=TABLE_CANDIDATES, segment_size=DEFAULT_SEGMENT_SIZE):

@@ -36,7 +36,6 @@ from .errors import (
     InvalidParamsError,
     LengthMismatchError,
     NonFiniteValueError,
-    SigfitError,
     SingularNormalMatrixError,
     TooFewPointsError,
 )
@@ -80,10 +79,6 @@ class FitProblem:
 
     series: object  # anything with .abscissa and .ordinate
     initial: object  # a models.* parameter set
-
-    @property
-    def family(self):
-        return self.initial.family
 
 
 @dataclass(frozen=True)
@@ -182,8 +177,9 @@ def fit(problem, config=None):
 
     Accepted chi-square values are non-increasing; the termination reason
     is always recorded. Non-finite model values at the starting point or
-    at an accepted point raise NonFiniteValueError (retry with a rescaled
-    guess); non-finite or infeasible trial points are simply rejected.
+    at an accepted point raise NonFiniteValueError (``fit_series`` retries
+    from a rescaled start); non-finite or infeasible trial points are simply
+    rejected.
     """
     config = config or SolverConfig()
     config.validate()
@@ -378,9 +374,9 @@ def fit_many(problems, config=None):
     and a batch of one runs ``fit`` itself.
 
     Each result equals ``fit(problem, config)`` field for field, trace
-    included. When problems fail, the first failing one in list order
-    raises what ``fit`` raises on it, as a loop of ``fit`` calls would.
-    Another algorithm or family, or mixed shapes, raise up front.
+    included. Another algorithm or family, or mixed shapes, raise up front.
+    Any other failure (an invalid start, too few points, a non-finite model
+    or Jacobian) is answered by a plain loop of ``fit``, raising what it raises.
     """
     config = config or SolverConfig()
     config.validate()
@@ -390,42 +386,43 @@ def fit_many(problems, config=None):
         )
     problems = list(problems)
     for problem in problems:
-        if problem.family != models.SumOfSines.family:
-            raise InvalidParamsError(f"fit_many fits sum-of-sines only, not {problem.family!r}")
-    if len(problems) < 2:  # nothing to share: one round costs more than a fit step
-        return [fit(problem, config) for problem in problems]
-    n = len(problems[0].series.ordinate)
-    p = problems[0].initial.n_params
-    errors = {}  # problem index -> the exception fit raises on it
-    for i, problem in enumerate(problems):
-        if (len(problem.series.ordinate), problem.initial.n_params) != (n, p):
+        family = problem.initial.family
+        if family != models.SumOfSines.family:
+            raise InvalidParamsError(f"fit_many fits sum-of-sines only, not {family!r}")
+    if len(problems) >= 2:  # with fewer, one round costs more than a fit step
+        n = len(problems[0].series.ordinate)
+        p = problems[0].initial.n_params
+        if any((len(q.series.ordinate), q.initial.n_params) != (n, p) for q in problems):
             raise LengthMismatchError("fit_many needs one point count and one term count")
-        try:
+        results = _lockstep(problems, config, n, p)
+        if results is not None:
+            return results
+    return [fit(problem, config) for problem in problems]
+
+
+def _lockstep(problems, config, n, p):
+    """The results of ``fit_many``, or None where a problem would fail."""
+    try:
+        for problem in problems:
             problem.initial.validate()
-            if n < p:
-                raise TooFewPointsError(f"{n} points cannot constrain {p} parameters")
-        except SigfitError as exc:
-            errors[i] = exc  # no later problem can fail first
-            break
-    chosen = problems[: min(errors, default=len(problems))]
-    if not chosen:
-        raise errors[0]
+    except InvalidParamsError:
+        return None
+    if n < p:
+        return None
     b = _Lockstep()
-    b.index = np.arange(len(chosen))
-    b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in chosen]).reshape(-1, n)
-    b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in chosen]).reshape(-1, n)
-    b.vec = np.array([q.initial.param_vector() for q in chosen]).reshape(-1, p)
+    b.index = np.arange(len(problems))
+    b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in problems]).reshape(-1, n)
+    b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in problems]).reshape(-1, n)
+    b.vec = np.array([q.initial.param_vector() for q in problems]).reshape(-1, p)
     b.fvec = b.residuals(b.vec)
+    if not np.isfinite(b.fvec).all():
+        return None
     b.chi2 = _dots(b.fvec)
-    b.mu = np.full(len(chosen), _MU_INITIAL)
-    b.small = np.zeros(len(chosen), dtype=int)
-    b.iterations = np.zeros(len(chosen), dtype=int)
+    b.mu = np.full(len(problems), _MU_INITIAL)
+    b.small = np.zeros(len(problems), dtype=int)
+    b.iterations = np.zeros(len(problems), dtype=int)
     traces = [[c] for c in b.chi2.tolist()]
     results = [None] * len(problems)
-
-    def fail(mask, message):
-        for i in b.index[mask].tolist():
-            errors[i] = NonFiniteValueError(message)
 
     def finish(mask, termination):
         for k in np.flatnonzero(mask).tolist():
@@ -436,33 +433,22 @@ def fit_many(problems, config=None):
             iterations = int(b.iterations[k])
             results[i] = FitResult(params, chi2, reduced, iterations, termination, tuple(traces[i]))
 
-    def keep(done):
-        """Drop finished rows, and rows behind a failed problem."""
-        if errors:
-            done = done | (b.index >= min(errors))
-        if done.any():
-            b.take(~done)
-            return ~done
-        return None
-
-    fail(~np.isfinite(b.fvec).all(axis=1), "model is non-finite at the initial parameters")
-    keep(np.zeros(len(b.index), dtype=bool))
     while b.index.size:
         # each row starts, or resumes, an iteration: its Jacobian at the
         # current point is the one fit took there (rejected trials leave
         # the point, and so the Jacobian, unchanged)
         jac = _kernels.sumsines_jac(b.x, b.vec)
+        if not np.isfinite(jac).all():
+            return None
         grad = (jac.transpose(0, 2, 1) @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
         # chi2 >= 0, so chi2.all() says no chi2 is zero
-        if not (np.isfinite(jac).all() and b.chi2.all() and grad.any(axis=1).all()):
-            bad = ~np.isfinite(jac).all(axis=(1, 2))
-            flat = ~bad & ((b.chi2 == 0.0) | ~grad.any(axis=1))
-            fail(bad, "jacobian is non-finite at the current parameters")
-            finish(flat, CONVERGED)
-            kept = keep(bad | flat)
+        if not (b.chi2.all() and grad.any(axis=1).all()):
+            going = (b.chi2 != 0.0) & grad.any(axis=1)
+            finish(~going, CONVERGED)
+            b.take(going)
             if not b.index.size:
                 break
-            jac, grad = jac[kept], grad[kept]
+            jac, grad = jac[going], grad[going]
         ata = jac.transpose(0, 2, 1) @ jac
         damp = ata.diagonal(axis1=1, axis2=2).copy()
         if not (damp > 0).all():
@@ -501,13 +487,19 @@ def fit_many(problems, config=None):
             finish(converged, CONVERGED)
             finish(done & ~converged & ~stuck, MAX_ITERATIONS)
             finish(stuck, STEP_TOO_SMALL)
-            keep(done)
-    if errors:
-        raise errors[min(errors)]
+            b.take(~done)
     return results
 
 
 def fit_series(series, family, n_terms=1, config=None):
-    """Convenience wrapper: initial guess + fit in one call."""
+    """Seed the family on the series and fit it, retrying once on overflow.
+
+    When the model or its Jacobian is non-finite (``NonFiniteValueError``),
+    the fit runs once more from the family's ``rescaled()`` start; a second
+    failure raises. ``n_terms`` is passed to ``models.initial_guess``.
+    """
     guess = models.initial_guess(family, series, n_terms)
-    return fit(FitProblem(series, guess), config)
+    try:
+        return fit(FitProblem(series, guess), config)
+    except NonFiniteValueError:
+        return fit(FitProblem(series, guess.rescaled()), config)

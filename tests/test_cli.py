@@ -284,6 +284,8 @@ class TestSettings:
         ("rank", ["--channel", "8"]),
         ("rank", ["--segment-size", "1"]),
         ("eval", ["--enroll", "0"]),
+        ("preprocess", ["--terms", "1", "--timestamp-degree", "3"]),
+        ("eval", ["--per-segment-fit", "--timestamp-degree", "3"]),
     ])
     def test_out_of_range_values_exit_2_before_fitting(self, data_dir, tmp_path, command, flags):
         if command in ("fit", "rank"):

@@ -162,8 +162,30 @@ class TestLoadDataset:
         (tmp_path / "U01S01.txt").write_text(TABLE_STYLE_FILE)
         index = ingest.load_dataset(tmp_path)
         (entry,) = ingest.dataset_manifest(index)["samples"]
-        assert (entry["user_id"], entry["sample_index"]) == ("01", 1)
+        assert (entry["user_id"], entry["sample_index"]) == ("1", 1)
         assert entry["source_path"] == str(tmp_path / "U01S01.txt")
+
+    def test_numbers_are_integers_and_duplicates_are_reported(self, tmp_path):
+        synth.write_dataset(tmp_path, n_users=1, genuine=2, forged=0)
+        first = (tmp_path / "U1S1.TXT").read_text()
+        (tmp_path / "U1S01.txt").write_text(first)
+        (tmp_path / "U01S01.txt").write_text(first)
+        index = ingest.load_dataset(tmp_path)
+        assert index.counts() == {"1": (2, 0)}
+        # the first of each (user, sample) in sorted name order is the one kept
+        kept = [s.source_path for s in index.samples()]
+        assert kept == [str(tmp_path / "U01S01.txt"), str(tmp_path / "U1S2.TXT")]
+        assert sorted(e.path for e in index.errors) == [
+            str(tmp_path / "U1S01.txt"), str(tmp_path / "U1S1.TXT")
+        ]
+        assert all("duplicate of" in e.error and "U01S01.txt" in e.error for e in index.errors)
+
+    def test_a_bad_file_does_not_shadow_its_duplicate(self, tmp_path):
+        (tmp_path / "U01S01.txt").write_text("5\n1 2 3\n")
+        (tmp_path / "U1S1.TXT").write_text(TABLE_STYLE_FILE)
+        index = ingest.load_dataset(tmp_path)
+        assert index.counts() == {"1": (1, 0)}
+        assert [e.path for e in index.errors] == [str(tmp_path / "U01S01.txt")]
 
     def test_custom_pattern(self, tmp_path):
         (tmp_path / "sig_7_3.txt").write_text(TABLE_STYLE_FILE)

@@ -291,6 +291,23 @@ class TestInitialGuess:
             guess = models.initial_guess(family, reference_series, 3)
             guess.validate()
 
+    def test_unknown_family_is_invalid(self, reference_series):
+        with pytest.raises(InvalidParamsError, match="nope"):
+            models.initial_guess("nope", reference_series, 1)
+        with pytest.raises(InvalidParamsError):
+            models.params_from_dict({"family": "nope", "coefficients": []})
+
+
+class TestRescaled:
+    def test_sum_of_sines_halves_only_amplitudes(self):
+        params = models.SumOfSines(((4.0, 0.3, -1.0), (-2.0, 0.7, 2.5)))
+        assert models.SumOfSines(((2.0, 0.3, -1.0), (-1.0, 0.7, 2.5))) == params.rescaled()
+
+    def test_other_families_halve_every_parameter(self):
+        params = models.Weibull(2.0, -1.0, 3.0, 8.0)
+        assert params.rescaled() == models.Weibull(1.0, -0.5, 1.5, 4.0)
+        assert models.Sine().rescaled() == models.Sine()
+
 
 class TestHornerPrecision:
     def test_matches_extended_precision(self):

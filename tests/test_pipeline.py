@@ -87,6 +87,14 @@ class TestPreprocessSample:
         np.testing.assert_array_equal(vec.values, 0.0)
         assert vec.channel_fits[0].error is not None
 
+    def test_a_channel_block_is_the_canonical_fit_series_result(self, small_dataset):
+        config = pipeline.PipelineConfig(channels=(1,), timestamp_channel=None)
+        series = ingest.extract_channel(small_dataset[0], 1)
+        result = solver.fit_series(series, "sum-of-sines", config.n_terms, config.solver)
+        expected = models.canonicalize(result.params).param_vector()
+        vec = pipeline.preprocess_sample(small_dataset[0], config)
+        assert vec.blocks[0].tobytes() == expected.tobytes()
+
     def test_determinism(self, small_dataset):
         a = pipeline.preprocess_sample(small_dataset[2])
         b = pipeline.preprocess_sample(small_dataset[2])
@@ -208,6 +216,20 @@ class TestPerSegmentMode:
         blocks = pipeline.vectors_to_json([vec])[0]["blocks"]
         assert [b["family"] for b in blocks] == [cf.family for cf in vec.channel_fits]
 
+    def test_timestamp_parts_fit_the_configured_degree(self, small_dataset):
+        blocks = {}
+        for degree in (1, 2):
+            config = pipeline.PipelineConfig(
+                channels=(3,), timestamp_channel=3, timestamp_degree=degree,
+                per_segment_fit=True, n_segments=4,
+            )
+            vec = pipeline.preprocess_sample(small_dataset[0], config)
+            assert vec.channel_fits[0].error is None
+            blocks[degree] = vec.blocks[0].reshape(4, 3)
+        # descending coefficients: a line leaves the third slot zero, a parabola fills it
+        np.testing.assert_array_equal(blocks[1][:, 2], 0.0)
+        assert np.all(blocks[2][:, 2] != 0.0)
+
     def test_segmented_fit_quality_reported(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True, channels=(1,),
                                          timestamp_channel=None)
@@ -242,7 +264,7 @@ class TestUniformizeDataset:
         assert keys == [("1", 1), ("2", 1), ("2", 2)]
 
     def test_parallel_matches_serial(self, small_dataset):
-        subset = small_dataset[:4]
+        subset = small_dataset[:5]  # two chunks of at most 4, so two workers
         config = pipeline.PipelineConfig(n_terms=2, channels=(1, 2), timestamp_channel=None)
         serial = pipeline.uniformize_dataset(subset, config, jobs=1)
         parallel = pipeline.uniformize_dataset(subset, config, jobs=2)
@@ -294,11 +316,11 @@ class TestBlasThreads:
                                         jobs):
         monkeypatch.setattr(pipeline, "preprocess_sample", _raise_in_fit)
         with pytest.raises(RuntimeError, match="fit exploded"):
-            pipeline.uniformize_dataset(small_dataset[:3], TINY, jobs=jobs)
+            pipeline.uniformize_dataset(small_dataset[:5], TINY, jobs=jobs)
         assert _blas.get_threads() == 2
 
     def test_without_thread_control_still_fits(self, monkeypatch, small_dataset):
-        subset = small_dataset[:3]
+        subset = small_dataset[:5]
         expected = pipeline.uniformize_dataset(subset, TINY, jobs=1)
         monkeypatch.setattr(_blas, "_controls", lambda: None)
         for jobs in (1, 2):
@@ -310,6 +332,15 @@ class TestBlasThreads:
     def test_one_sample_runs_serially(self, small_dataset):
         batch = pipeline.uniformize_dataset(small_dataset[:1], TINY, jobs=4)
         assert batch.report["jobs"] == 1
+
+    def test_no_more_workers_than_chunks(self, monkeypatch, small_dataset):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        # 3 samples make one chunk of 4: one worker, so no pool at all
+        batch = pipeline.uniformize_dataset(small_dataset[:3], TINY, jobs=8)
+        assert (batch.report["jobs"], batch.report["n_vectors"]) == (1, 3)
 
 
 class TestVectorSerialization:
@@ -345,10 +376,21 @@ class TestConfigValidation:
         pipeline.PipelineConfig(solver=solver.SolverConfig(max_iterations=0)),
         pipeline.PipelineConfig(solver=solver.SolverConfig(algorithm="nope")),
         pipeline.PipelineConfig(timestamp_degree=-1),
-    ], ids=["max-iterations", "algorithm", "timestamp-degree"])
+        pipeline.PipelineConfig(n_terms=1, timestamp_degree=3),
+        pipeline.PipelineConfig(n_terms=2, timestamp_degree=40),
+        pipeline.PipelineConfig(per_segment_fit=True, timestamp_degree=3),
+    ], ids=["max-iterations", "algorithm", "timestamp-degree", "degree-over-terms",
+            "degree-over-block", "degree-over-part"])
     def test_out_of_range_settings_are_refused(self, config):
         with pytest.raises(SigfitError):
             config.validate()
+
+    @pytest.mark.parametrize("config", [
+        pipeline.PipelineConfig(n_terms=1, timestamp_degree=2),
+        pipeline.PipelineConfig(per_segment_fit=True, timestamp_degree=2),
+    ], ids=["whole-channel", "per-segment"])
+    def test_a_timestamp_degree_that_fills_its_block_fits(self, config):
+        config.validate()
 
     def test_disabled_timestamp_is_fine(self, small_dataset):
         config = pipeline.PipelineConfig(channels=(1, 2), timestamp_channel=None, n_terms=2)

@@ -249,6 +249,38 @@ class TestFit:
         assert np.all(deltas <= solver._CHI2_ABS_TOL + solver._CHI2_REL_TOL * tail[1:])
 
 
+class TestFitSeries:
+    def test_a_non_finite_start_is_retried_once_from_the_rescaled_start(self, monkeypatch):
+        # two equal terms overflow together; halved, they are the data exactly
+        start = models.SumOfSines(((1.2e308, 2.0, 0.3), (1.2e308, 2.0, 0.3)))
+        x = np.linspace(0.0, 1.0, 12)
+        series = make_series(x, models.evaluate(start.rescaled(), x))
+        with pytest.raises(NonFiniteValueError), np.errstate(over="ignore"):
+            solver.fit(solver.FitProblem(series, start))
+        monkeypatch.setattr(models, "initial_guess", lambda family, s, n_terms: start)
+        fit_calls = []
+        _fit = solver.fit
+
+        def counted_fit(problem, config=None):
+            fit_calls.append(problem.initial)
+            return _fit(problem, config)
+
+        monkeypatch.setattr(solver, "fit", counted_fit)
+        with np.errstate(over="ignore"):
+            result = solver.fit_series(series, "sum-of-sines", 2)
+        assert fit_calls == [start, start.rescaled()]
+        assert _same_fit(result, _fit(solver.FitProblem(series, start.rescaled())))
+        assert result.converged
+
+    def test_a_second_failure_raises(self, monkeypatch):
+        # exp(5x) and, halved, exp(2.5x) both overflow at x = 799
+        start = models.ScaledExponential(1.0, 5.0)
+        monkeypatch.setattr(models, "initial_guess", lambda family, s, n_terms: start)
+        series = make_series(np.arange(0.0, 800.0), np.ones(800))
+        with pytest.raises(NonFiniteValueError):
+            solver.fit_series(series, "scaled-exponential")
+
+
 def _same_fit(a, b):
     return (
         a.params.param_vector().tobytes() == b.params.param_vector().tobytes()

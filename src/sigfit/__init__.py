@@ -24,8 +24,6 @@ from .solver import (
     FitProblem,
     FitResult,
     SolverConfig,
-    chi_square,
-    chi_square_gradient,
     fit,
     fit_many,
     fit_series,
@@ -51,8 +49,6 @@ __all__ = [
     "SolverConfig",
     "__version__",
     "area_between",
-    "chi_square",
-    "chi_square_gradient",
     "compare_preprocessors",
     "evaluate",
     "extract_channel",

@@ -246,7 +246,7 @@ def cmd_fit(settings, out_dir):
         payload["trace"] = list(result.trace)
     fit_path = out_dir / "fit.json"
     fit_path.write_text(json.dumps(payload, indent=2) + "\n")
-    if result.termination not in (solver.CONVERGED, solver.MAX_ITERATIONS):
+    if result.termination not in (solver.CONVERGED, solver.STALLED, solver.MAX_ITERATIONS):
         print(f"fit did not converge: {result.termination}", file=sys.stderr)
         return EXIT_FIT, [in_path], [fit_path]
     return EXIT_OK, [in_path], [fit_path]

@@ -106,7 +106,7 @@ def parse_sample(text, user_id="?", sample_index=0, label=GENUINE, source_path="
 def serialize_sample(sample):
     """Canonical text form: count line, then one space-separated row per point."""
     lines = [str(sample.n_points)]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in sample.data)
+    lines.extend(" ".join(map(str, row)) for row in sample.data.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,6 @@ Canonical parameter orders (frozen; feature-vector layout depends on them):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -638,12 +637,3 @@ def params_to_dict(params):
 
 def params_from_dict(d):
     return _family_class(d["family"]).from_vector(np.asarray(d["coefficients"], dtype=float))
-
-
-def params_to_json(params):
-    """Serialize with shortest round-trip float text (decimal-exact)."""
-    return json.dumps(params_to_dict(params))
-
-
-def params_from_json(text):
-    return params_from_dict(json.loads(text))

@@ -21,6 +21,7 @@ aborts a batch.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -223,7 +224,8 @@ def uniformize_dataset(samples, config=None, jobs=1):
     order is deterministic: sorted by (user_id, sample_index). Every fit,
     serial or in a pool worker, runs on one BLAS thread; the report records
     that count (None without BLAS thread control) and the worker count,
-    which is at most one per chunk of 4 samples.
+    which is at most one per chunk of 4 samples, and counts per channel
+    how its fits ended (``terminations``: termination -> count).
     """
     config = config or PipelineConfig()
     config.validate()
@@ -243,7 +245,10 @@ def uniformize_dataset(samples, config=None, jobs=1):
         else:
             vectors = [preprocess_sample(s, config) for s in samples]
     entries = []
+    terminations = {str(c): Counter() for c in config.channels}  # how each channel's fits ended
     for vec in vectors:
+        for cf in vec.channel_fits:
+            terminations[str(cf.channel)][cf.termination] += 1
         failed = [cf for cf in vec.channel_fits if cf.error]
         entries.append(
             {
@@ -260,6 +265,7 @@ def uniformize_dataset(samples, config=None, jobs=1):
         "vector_length": config.vector_length,
         "jobs": jobs,
         "blas_threads": blas_threads,
+        "terminations": {c: dict(sorted(t.items())) for c, t in terminations.items()},
         "samples": entries,
     }
     return BatchResult(vectors, report)

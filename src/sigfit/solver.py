@@ -2,7 +2,12 @@
 
 All three algorithms share one convergence contract: stop when the
 chi-square change stays within ``_CHI2_ABS_TOL + _CHI2_REL_TOL * chi2`` on
-two successive accepted iterations. Accepted chi-square values are
+two successive accepted iterations (``converged``). A fit whose chi-square
+gained no more than ``_STALL_REL_TOL * chi2`` over the last
+``_STALL_WINDOW`` accepted iterations stops as ``stalled``: such a tail
+only crawls towards the iteration cap. The checks run after each accepted
+iteration in that order, converged first, then stalled, then the cap
+(``max-iterations``). Accepted chi-square values are
 non-increasing for every algorithm (Gauss-Newton backtracks by step
 halving; LM and the dogleg trust region reject ascent steps outright).
 Trial steps that leave a family's feasible set or produce non-finite
@@ -49,6 +54,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 SINGULAR_NORMAL_MATRIX = "singular-normal-matrix"
 STEP_TOO_SMALL = "step-too-small"
+STALLED = "stalled"
 
 # fixed schedule, read by fit and fit_many at call time
 _CHI2_ABS_TOL = 1e-10
@@ -59,6 +65,8 @@ _MU_DECREASE = 0.1
 _MIN_STEP_NORM = 1e-12
 _MU_CEILING = 1e32
 _GN_MAX_HALVINGS = 40
+_STALL_WINDOW = 40  # accepted iterations
+_STALL_REL_TOL = 1e-5  # chi2 gained over the window, relative to chi2
 
 
 @dataclass(frozen=True)
@@ -89,30 +97,6 @@ class FitResult:
     iterations: int
     termination: str
     trace: tuple = ()  # accepted chi2 per iteration, starting value included
-
-    @property
-    def converged(self):
-        return self.termination == CONVERGED
-
-
-def chi_square(series, params):
-    """Sum over points of (y_i - f(x_i))^2: the SSE."""
-    y = np.asarray(series.ordinate, dtype=float)
-    f = models.evaluate(params, series.abscissa)
-    if len(f) != len(y):
-        raise LengthMismatchError("model values and ordinate lengths differ")
-    r = y - f
-    return float(r @ r)
-
-
-def chi_square_gradient(series, params):
-    """-2 sum_i (y_i - f_i) * df_i/dalpha, per parameter."""
-    y = np.asarray(series.ordinate, dtype=float)
-    f = models.evaluate(params, series.abscissa)
-    if len(f) != len(y):
-        raise LengthMismatchError("model values and ordinate lengths differ")
-    jac = models.jacobian(params, series.abscissa)
-    return -2.0 * (jac.T @ (y - f))
 
 
 def _solve_normal(a, b, mu_is_zero):
@@ -185,6 +169,8 @@ def fit(problem, config=None):
     config.validate()
     x = np.asarray(problem.series.abscissa, dtype=float)
     y = np.asarray(problem.series.ordinate, dtype=float)
+    if x.shape != y.shape:
+        raise LengthMismatchError("abscissa and ordinate lengths differ")
     params = problem.initial
     params.validate()
     p = params.n_params
@@ -217,6 +203,7 @@ def fit(problem, config=None):
     termination = MAX_ITERATIONS
     iterations = 0
     small_count = 0
+    window = _STALL_WINDOW
     mu = None
     radius = 0.0  # set on the first trust-region iteration
 
@@ -326,6 +313,9 @@ def fit(problem, config=None):
                 break
         else:
             small_count = 0
+        if iterations >= window and trace[-1 - window] - chi2 <= _STALL_REL_TOL * chi2:
+            termination = STALLED
+            break
 
     out_params = params.with_vector(vec)
     reduced = chi2 / (n - p) if n > p else np.inf
@@ -349,9 +339,18 @@ def _solve_normal_stack(a, b):
 
 
 class _Lockstep:
-    """The unfinished problems of a ``fit_many`` batch, one row each."""
+    """The unfinished problems of a ``fit_many`` batch, one row each.
 
-    __slots__ = ("index", "x", "y", "vec", "fvec", "chi2", "mu", "small", "iterations")
+    ``grad`` and ``ata`` hold J'F and J'J at the row's current point.
+    ``trace`` holds the row's accepted chi2 values, the one after ``k``
+    accepted iterations in column ``k``: it is the result's trace and the
+    stall window at once.
+    """
+
+    __slots__ = (
+        "index", "x", "y", "vec", "fvec", "chi2", "mu", "small", "iterations",
+        "grad", "ata", "trace",
+    )
 
     def take(self, keep):
         for name in self.__slots__:
@@ -368,10 +367,10 @@ def fit_many(problems, config=None):
     ordinate and start are each problem's own. One round takes one
     damped trial step for every unfinished problem, with the Jacobians
     (B, N, P), normal matrices (B, P, P) and solves stacked, while mu, the
-    counters and the termination stay per problem. Finished problems leave
-    the batch. This pays off when per-call numpy overhead dominates, as on
-    short segments; large fits are bound by their sines and gain nothing,
-    and a batch of one runs ``fit`` itself.
+    counters, the stall window and the termination stay per problem.
+    Finished problems leave the batch. This pays off when per-call numpy
+    overhead dominates, as on short segments; large fits are bound by their
+    sines and gain nothing, and a batch of one runs ``fit`` itself.
 
     Each result equals ``fit(problem, config)`` field for field, trace
     included. Another algorithm or family, or mixed shapes, raise up front.
@@ -407,8 +406,9 @@ def _lockstep(problems, config, n, p):
             problem.initial.validate()
     except InvalidParamsError:
         return None
-    if n < p:
+    if n < p or any(len(q.series.abscissa) != n for q in problems):
         return None
+    window = _STALL_WINDOW
     b = _Lockstep()
     b.index = np.arange(len(problems))
     b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in problems]).reshape(-1, n)
@@ -421,7 +421,10 @@ def _lockstep(problems, config, n, p):
     b.mu = np.full(len(problems), _MU_INITIAL)
     b.small = np.zeros(len(problems), dtype=int)
     b.iterations = np.zeros(len(problems), dtype=int)
-    traces = [[c] for c in b.chi2.tolist()]
+    # the stall check reads column `iterations - window` from the first round
+    # on (and uses it from iteration `window` on), so that column must exist
+    b.trace = np.zeros((len(problems), max(config.max_iterations, window) + 1))
+    b.trace[:, 0] = b.chi2
     results = [None] * len(problems)
 
     def finish(mask, termination):
@@ -431,31 +434,39 @@ def _lockstep(problems, config, n, p):
             reduced = chi2 / (n - p) if n > p else np.inf
             params = problems[i].initial.with_vector(b.vec[k])
             iterations = int(b.iterations[k])
-            results[i] = FitResult(params, chi2, reduced, iterations, termination, tuple(traces[i]))
+            trace = tuple(b.trace[k, : iterations + 1].tolist())
+            results[i] = FitResult(params, chi2, reduced, iterations, termination, trace)
 
+    moved = True
     while b.index.size:
-        # each row starts, or resumes, an iteration: its Jacobian at the
-        # current point is the one fit took there (rejected trials leave
-        # the point, and so the Jacobian, unchanged)
-        jac = _kernels.sumsines_jac(b.x, b.vec)
-        if not np.isfinite(jac).all():
-            return None
-        grad = (jac.transpose(0, 2, 1) @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
-        # chi2 >= 0, so chi2.all() says no chi2 is zero
-        if not (b.chi2.all() and grad.any(axis=1).all()):
-            going = (b.chi2 != 0.0) & grad.any(axis=1)
-            finish(~going, CONVERGED)
-            b.take(going)
-            if not b.index.size:
-                break
-            jac, grad = jac[going], grad[going]
-        ata = jac.transpose(0, 2, 1) @ jac
-        damp = ata.diagonal(axis1=1, axis2=2).copy()
+        # each row starts, or resumes, an iteration: the Jacobian at its
+        # current point is the one fit took there. A rejected trial leaves
+        # the point unchanged, so after a round with no accepted step J'F
+        # and J'J are kept; after any other round the whole stack takes new
+        # ones (on 3-parameter segments, picking out the rows that moved
+        # costs more than the rows it saves)
+        if moved:
+            jac = _kernels.sumsines_jac(b.x, b.vec)
+            if not np.isfinite(jac).all():
+                return None
+            jac_t = jac.transpose(0, 2, 1)
+            b.grad = (jac_t @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
+            b.ata = jac_t @ jac
+            # chi2 >= 0, so chi2.all() says no chi2 is zero
+            if not (b.chi2.all() and b.grad.any(axis=1).all()):
+                going = (b.chi2 != 0.0) & b.grad.any(axis=1)
+                finish(~going, CONVERGED)
+                b.take(going)
+                if not b.index.size:
+                    break
+        rows = np.arange(b.index.size)
+        damp = b.ata.diagonal(axis1=1, axis2=2).copy()
         if not (damp > 0).all():
             floor = damp.max(axis=1, keepdims=True) * 1e-14 + 1e-300
             damp = np.where(damp > 0, damp, floor)
-        ata.reshape(len(ata), -1)[:, :: p + 1] += b.mu[:, None] * damp  # the diagonals
-        d = _solve_normal_stack(ata, -grad)
+        damped = b.ata.copy()
+        damped.reshape(len(damped), -1)[:, :: p + 1] += b.mu[:, None] * damp  # the diagonals
+        d = _solve_normal_stack(damped, -b.grad)
         stagnant = np.sqrt(_dots(d)) < _MIN_STEP_NORM  # zero-change iterations
         trial = b.vec + d
         ft = b.residuals(trial)
@@ -471,21 +482,25 @@ def _lockstep(problems, config, n, p):
         b.mu = np.where(accept, b.mu * _MU_DECREASE, np.where(reject, b.mu * _MU_INCREASE, b.mu))
         b.vec = np.where(accept[:, None], trial, b.vec)
         b.fvec = np.where(accept[:, None], ft, b.fvec)
+        moved = accept.any()
         new_chi2 = np.where(accept, c, b.chi2)
         small_step = b.chi2 - new_chi2 <= _CHI2_ABS_TOL + _CHI2_REL_TOL * new_chi2
         b.chi2 = new_chi2
         b.iterations += advanced
         b.small = np.where(advanced, np.where(small_step, b.small + 1, 0), b.small)
-        for i, value in zip(b.index[advanced].tolist(), new_chi2[advanced].tolist()):
-            traces[i].append(value)
-        # only a row that advanced this round can reach either count: a
-        # row leaves the batch in the round it does
+        # a row that did not advance rewrites its latest value in place
+        b.trace[rows, b.iterations] = new_chi2
+        # only a row that advanced this round can reach any of the three
+        # counts: a row leaves the batch in the round it does
         converged = b.small >= 2
+        before = b.trace[rows, b.iterations - window]  # read only where iterations >= window
+        stalled = (b.iterations >= window) & (before - new_chi2 <= _STALL_REL_TOL * new_chi2)
         stuck = reject & (b.mu > _MU_CEILING)
-        done = converged | stuck | (b.iterations >= config.max_iterations)
+        done = converged | stalled | stuck | (b.iterations >= config.max_iterations)
         if done.any():
             finish(converged, CONVERGED)
-            finish(done & ~converged & ~stuck, MAX_ITERATIONS)
+            finish(stalled & ~converged, STALLED)
+            finish(done & ~converged & ~stalled & ~stuck, MAX_ITERATIONS)
             finish(stuck, STEP_TOO_SMALL)
             b.take(~done)
     return results

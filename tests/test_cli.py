@@ -33,10 +33,18 @@ class TestFitCommand:
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert "r_squared" in payload["gof"]
         assert payload["algorithm"] == "levenberg-marquardt"
-        assert payload["termination"] in ("converged", "max-iterations")
+        assert payload["termination"] in ("converged", "stalled", "max-iterations")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "fit"
         assert str(tmp_path / "fit.json") in manifest["outputs"]
+
+    def test_a_stalled_fit_exits_0(self, data_dir, tmp_path):
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--channel", "2", "--terms", "3",
+             "--out", tmp_path]
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["termination"] == "stalled"
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code = run_cli(["fit", "--file", tmp_path / "nope.TXT", "--out", tmp_path])

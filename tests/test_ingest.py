@@ -55,6 +55,18 @@ class TestParseSample:
             assert ingest.serialize_sample(back) == text
             np.testing.assert_array_equal(back.data, sample.data)
 
+    def test_text_equals_the_per_value_formula(self):
+        # the row text built from Python ints is the text of int(v) per value
+        def per_value(sample):
+            rows = (" ".join(str(int(v)) for v in row) for row in sample.data)
+            return "\n".join([str(sample.n_points), *rows]) + "\n"
+
+        messy = "2\n -7 0  9223372036854775807 1 0 -1 3\n1 2 3 4 5 6 7\n"
+        samples = [*synth.generate_samples(n_users=1, genuine=1, forged=1),
+                   ingest.parse_sample(messy)]
+        for sample in samples:
+            assert ingest.serialize_sample(sample).encode() == per_value(sample).encode()
+
 
 class TestExtractChannel:
     def test_channel_values_match_columns(self, small_dataset):

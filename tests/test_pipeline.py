@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import multiprocessing
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,19 @@ class TestUniformizeDataset:
         assert len(batch.report["samples"]) == 3
         entry = batch.report["samples"][0]
         assert {"user_id", "sample_index", "label", "channels", "failed_channels"} <= set(entry)
+
+    def test_report_counts_how_each_channels_fits_ended(self, small_dataset):
+        config = pipeline.PipelineConfig(n_terms=3, channels=(1, 2, 3))
+        batch = pipeline.uniformize_dataset(small_dataset[:4], config)
+        counts = {"1": Counter(), "2": Counter(), "3": Counter()}
+        for vec in batch.vectors:
+            for cf in vec.channel_fits:
+                counts[str(cf.channel)][cf.termination] += 1
+        terminations = batch.report["terminations"]
+        assert terminations == {c: dict(sorted(n.items())) for c, n in counts.items()}
+        assert list(terminations) == ["1", "2", "3"]
+        assert any(n.get(solver.STALLED) for n in terminations.values())
+        assert json.loads(json.dumps(batch.report))["terminations"] == terminations
 
     def test_empty_input(self):
         batch = pipeline.uniformize_dataset([])

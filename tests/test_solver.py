@@ -14,22 +14,36 @@ from sigfit.errors import (
 from tests.conftest import make_series
 
 
+def _sse(series, params):
+    r = models.evaluate(params, series.abscissa) - np.asarray(series.ordinate, dtype=float)
+    return float(r @ r)
+
+
+def _sse_gradient(series, params):
+    """2 J'(f - y): the gradient of the SSE, from the model's Jacobian."""
+    f = models.evaluate(params, series.abscissa)
+    jac = models.jacobian(params, series.abscissa)
+    return 2.0 * (jac.T @ (f - np.asarray(series.ordinate, dtype=float)))
+
+
 class TestChiSquare:
+    # a fit's trace starts at the chi-square of its start: the SSE
     def test_perfect_fit_is_zero(self):
         x = np.arange(10.0)
         params = models.Polynomial((2.0, 1.0))
         series = make_series(x, models.evaluate(params, x))
-        assert solver.chi_square(series, params) == 0.0
+        assert solver.fit(solver.FitProblem(series, params)).trace[0] == 0.0
 
     def test_hand_sum(self):
         series = make_series([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        assert solver.chi_square(series, models.Polynomial((1.0,))) == pytest.approx(5.0)
+        result = solver.fit(solver.FitProblem(series, models.Polynomial((1.0,))))
+        assert result.trace[0] == pytest.approx(5.0)
 
     def test_length_mismatch(self):
         # any object with .abscissa and .ordinate is a series; these two disagree
         series = SimpleNamespace(abscissa=np.arange(3.0), ordinate=np.array([1.0, 2.0]))
         with pytest.raises(LengthMismatchError):
-            solver.chi_square(series, models.Polynomial((1.0,)))
+            solver.fit(solver.FitProblem(series, models.Polynomial((1.0,))))
 
 
 class TestChiSquareGradient:
@@ -37,20 +51,20 @@ class TestChiSquareGradient:
         x = np.arange(12.0)
         params = models.Polynomial((0.5, -1.0, 2.0))
         series = make_series(x, models.evaluate(params, x))
-        np.testing.assert_allclose(solver.chi_square_gradient(series, params), 0.0, atol=1e-9)
+        np.testing.assert_allclose(_sse_gradient(series, params), 0.0, atol=1e-9)
 
     def test_linear_model_closed_form(self):
         # data y = 2x, model a*x + b: gradient at (2, 0) vanishes; away from
         # the optimum it is -2 * sum(residual * [x, 1])
         x = np.arange(1.0, 6.0)
         series = make_series(x, 2.0 * x)
-        at_truth = solver.chi_square_gradient(series, models.Polynomial((2.0, 0.0)))
+        at_truth = _sse_gradient(series, models.Polynomial((2.0, 0.0)))
         np.testing.assert_allclose(at_truth, 0.0, atol=1e-10)
-        off = solver.chi_square_gradient(series, models.Polynomial((0.5, 0.0)))
+        off = _sse_gradient(series, models.Polynomial((0.5, 0.0)))
         np.testing.assert_allclose(off, [-2.0 * np.sum(1.5 * x * x), -2.0 * np.sum(1.5 * x)])
 
     def test_matches_finite_differences(self):
-        # central differences of chi_square itself as the oracle
+        # central differences of the SSE itself as the oracle
         rng = np.random.default_rng(3)
         x = np.linspace(0.0, 10.0, 40)
         series = make_series(x, rng.normal(2.0, 1.0, 40))
@@ -59,7 +73,7 @@ class TestChiSquareGradient:
                 tuple((rng.uniform(0.5, 2), rng.uniform(0.2, 1), rng.uniform(-2, 2))
                       for _ in range(2))
             )
-            grad = solver.chi_square_gradient(series, params)
+            grad = _sse_gradient(series, params)
             vec = params.param_vector()
             for i in range(len(vec)):
                 h = 1e-6 * max(abs(vec[i]), 1.0)
@@ -67,8 +81,7 @@ class TestChiSquareGradient:
                 up[i] += h
                 down[i] -= h
                 fd = (
-                    solver.chi_square(series, params.with_vector(up))
-                    - solver.chi_square(series, params.with_vector(down))
+                    _sse(series, params.with_vector(up)) - _sse(series, params.with_vector(down))
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -143,7 +156,7 @@ class TestFit:
         chi2_star = float(np.sum((y - design @ best) ** 2))
         # the first accepted (damped) step lands at the optimum to solve tolerance
         assert result.trace[1] - chi2_star <= 1e-4 * (result.trace[0] - chi2_star)
-        assert result.converged
+        assert result.termination == solver.CONVERGED
         assert result.chi2 == pytest.approx(chi2_star, rel=1e-12)
 
     def test_gauss_newton_one_step_on_linear_family(self):
@@ -158,7 +171,7 @@ class TestFit:
         best, *_ = np.linalg.lstsq(np.vander(x, 3), y, rcond=None)
         chi2_star = float(np.sum((y - np.vander(x, 3) @ best) ** 2))
         assert result.trace[1] == pytest.approx(chi2_star, rel=1e-12)
-        assert result.converged
+        assert result.termination == solver.CONVERGED
 
     @pytest.mark.parametrize("algorithm", solver.ALGORITHMS)
     def test_accepted_chi2_non_increasing(self, algorithm, reference_series):
@@ -175,8 +188,8 @@ class TestFit:
         y = models.evaluate(true, x) + rng.normal(0, 0.01, 120)
         series = make_series(x, y)
         result = solver.fit(solver.FitProblem(series, _perturbed(true, rng, 0.05)))
-        assert result.converged
-        grad = solver.chi_square_gradient(series, result.params)
+        assert result.termination == solver.CONVERGED
+        grad = _sse_gradient(series, result.params)
         assert np.linalg.norm(grad) <= 1e-4 * (1.0 + result.chi2)
 
     def test_perfect_start_converges_immediately(self):
@@ -184,7 +197,7 @@ class TestFit:
         params = models.Polynomial((1.5, -2.0))
         series = make_series(x, models.evaluate(params, x))
         result = solver.fit(solver.FitProblem(series, params))
-        assert result.converged
+        assert result.termination == solver.CONVERGED
         assert result.chi2 == 0.0
 
     def test_non_finite_initial_raises(self):
@@ -227,7 +240,7 @@ class TestFit:
         x = np.linspace(0.0, 1.0, 10)
         series = make_series(x, np.sin(x))
         result = solver.fit(solver.FitProblem(series, models.Sine()))
-        assert result.converged
+        assert result.termination == solver.CONVERGED
         assert result.iterations == 0
         assert result.chi2 == pytest.approx(0.0, abs=1e-20)
 
@@ -243,10 +256,41 @@ class TestFit:
         x = np.arange(80.0)
         series = make_series(x, np.sin(0.2 * x) + rng.normal(0, 0.05, 80))
         result = solver.fit(solver.FitProblem(series, models.SumOfSines(((0.9, 0.21, 0.1),))))
-        assert result.converged
+        assert result.termination == solver.CONVERGED
         tail = np.asarray(result.trace[-3:])
         deltas = -np.diff(tail)
         assert np.all(deltas <= solver._CHI2_ABS_TOL + solver._CHI2_REL_TOL * tail[1:])
+
+
+def _slow_tail_problem():
+    """Three sines on a random walk: every algorithm crawls long before the cap."""
+    x = np.arange(72.0)
+    series = make_series(x, np.random.default_rng(0).normal(0.0, 1.0, 72).cumsum())
+    return solver.FitProblem(series, models.initial_guess("sum-of-sines", series, 3))
+
+
+class TestStallStop:
+    @pytest.mark.parametrize("algorithm", solver.ALGORITHMS)
+    def test_a_slow_tail_stops_as_stalled(self, algorithm):
+        result = solver.fit(_slow_tail_problem(), solver.SolverConfig(algorithm=algorithm))
+        assert result.termination == solver.STALLED
+        window, tol = solver._STALL_WINDOW, solver._STALL_REL_TOL
+        trace = result.trace
+        assert window <= result.iterations < solver.SolverConfig().max_iterations
+        assert len(trace) == result.iterations + 1
+        assert trace[-1 - window] - trace[-1] <= tol * trace[-1]
+        # the first iteration that meets the rule is the last one taken
+        assert all(trace[k - window] - trace[k] > tol * trace[k]
+                   for k in range(window, result.iterations))
+
+    def test_the_rule_is_checked_before_the_cap(self):
+        stalled = solver.fit(_slow_tail_problem())
+        assert stalled.termination == solver.STALLED
+        k = stalled.iterations
+        at_cap = solver.fit(_slow_tail_problem(), solver.SolverConfig(max_iterations=k))
+        assert _same_fit(at_cap, stalled)
+        short = solver.fit(_slow_tail_problem(), solver.SolverConfig(max_iterations=k - 1))
+        assert (short.termination, short.trace) == (solver.MAX_ITERATIONS, stalled.trace[:-1])
 
 
 class TestFitSeries:
@@ -270,7 +314,7 @@ class TestFitSeries:
             result = solver.fit_series(series, "sum-of-sines", 2)
         assert fit_calls == [start, start.rescaled()]
         assert _same_fit(result, _fit(solver.FitProblem(series, start.rescaled())))
-        assert result.converged
+        assert result.termination == solver.CONVERGED
 
     def test_a_second_failure_raises(self, monkeypatch):
         # exp(5x) and, halved, exp(2.5x) both overflow at x = 799
@@ -339,6 +383,18 @@ class TestFitMany:
         }
         assert all(_same_fit(a, b) for a, b in zip(solver.fit_many(problems, config), expected))
 
+    def test_batches_with_stalled_rows(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STALL_WINDOW", 3)
+        config = solver.SolverConfig(max_iterations=30)
+        problems = _sine_problems(0, 40, 20)
+        expected = [solver.fit(problem, config) for problem in problems]
+        assert {r.termination for r in expected} == {
+            solver.CONVERGED,
+            solver.STALLED,
+            solver.MAX_ITERATIONS,
+        }
+        assert all(_same_fit(a, b) for a, b in zip(solver.fit_many(problems, config), expected))
+
     @pytest.mark.parametrize(
         "start,x_end",
         [((np.inf, 1.0, 0.0), 1.0), ((1e300, 1.0, 0.0), 1e10)],
@@ -353,6 +409,14 @@ class TestFitMany:
         with pytest.raises(NonFiniteValueError) as got, np.errstate(all="ignore"):
             solver.fit_many([good[0], bad, good[1]])
         assert str(got.value) == str(expected.value)
+
+    def test_a_length_mismatch_raises_what_fit_raises(self):
+        x = np.arange(12.0)
+        bad = solver.FitProblem(
+            SimpleNamespace(abscissa=x[:11], ordinate=np.sin(x)), models.SumOfSines(((1, 1, 0),))
+        )
+        with pytest.raises(LengthMismatchError):
+            solver.fit_many([_sine_problems(5, 1, 12)[0], bad])
 
     def test_refuses_what_it_cannot_batch(self):
         problems = _sine_problems(4, 2, 10)

@@ -19,7 +19,7 @@ from .pipeline import (
     preprocess_sample,
     uniformize_dataset,
 )
-from .selection import AreaReport, Segment, area_between, rank_families, segment
+from .selection import AreaReport, area_between, rank_families, segment
 from .solver import (
     FitProblem,
     FitResult,
@@ -43,7 +43,6 @@ __all__ = [
     "GofReport",
     "PipelineConfig",
     "Protocol",
-    "Segment",
     "SigfitError",
     "SignatureSample",
     "SolverConfig",

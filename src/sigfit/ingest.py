@@ -3,8 +3,8 @@
 File layout: first line is the point count, then one point per line with
 7 whitespace-separated integer columns (x, y, timestamp, button status,
 azimuth, altitude, pressure). Files are named ``U<user>S<sample>.TXT``
-with samples 1-20 genuine and 21-40 forged; both the name pattern and the
-genuine/forged split are configurable because capture sessions vary.
+with samples 1-20 genuine and 21-40 forged (``NAME_PATTERN`` and
+``GENUINE_MAX``).
 
 Parsing is strict on structure (field count, integer tokens, declared
 count) and lenient on content: semantic oddities such as decreasing
@@ -27,6 +27,7 @@ from .errors import (
     DirectoryNotFoundError,
     EmptyInputError,
     InvalidParamsError,
+    LengthMismatchError,
     MalformedLineError,
 )
 
@@ -35,8 +36,8 @@ FORGED = "forged"
 
 N_CHANNELS = 7
 
-DEFAULT_NAME_PATTERN = r"U(?P<user>\d+)S(?P<sample>\d+)\.(?:txt|TXT)$"
-DEFAULT_GENUINE_MAX = 20
+NAME_PATTERN = re.compile(r"U(?P<user>\d+)S(?P<sample>\d+)\.(?:txt|TXT)$")
+GENUINE_MAX = 20  # sample numbers up to this are genuine, the rest forged
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,24 @@ class SignatureSample:
 
 @dataclass(frozen=True)
 class ChannelSeries:
-    """One channel as paired float arrays; abscissa strictly increasing."""
+    """One channel or a part of it: paired float arrays, abscissa strictly increasing."""
 
     abscissa: np.ndarray
     ordinate: np.ndarray
 
     def __post_init__(self):
         if len(self.abscissa) != len(self.ordinate):
-            raise InvalidParamsError("abscissa and ordinate lengths differ")
+            raise LengthMismatchError("abscissa and ordinate lengths differ")
         if np.any(np.diff(self.abscissa) <= 0):
             raise InvalidParamsError("abscissa must be strictly increasing")
 
     def __len__(self):
         return len(self.ordinate)
+
+    def on_unit_interval(self):
+        """The same ordinate over the abscissa rescaled to run from 0 to 1."""
+        x = self.abscissa
+        return ChannelSeries((x - x[0]) / (x[-1] - x[0]), self.ordinate)
 
 
 def parse_sample(text, user_id="?", sample_index=0, label=GENUINE, source_path=""):
@@ -177,7 +183,8 @@ class DatasetIndex:
             for user in self.user_ids
         }
 
-    def point_count_histogram(self, bin_width=50):
+    def point_count_histogram(self):
+        bin_width = 50  # points
         counts = [s.n_points for s in self.samples()]
         if not counts:
             return {}
@@ -196,7 +203,7 @@ def _user_sort_key(user_id):
     return (0, int(user_id)) if user_id.isdigit() else (1, user_id)
 
 
-def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GENUINE_MAX):
+def load_dataset(root):
     """Parse every matching file under ``root`` into a DatasetIndex.
 
     Numbers are read as integers: of ``U01S01.txt`` and ``U1S1.TXT`` the
@@ -208,12 +215,11 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
     root = Path(root)
     if not root.is_dir():
         raise DirectoryNotFoundError(f"no such directory: {root}")
-    pattern = re.compile(name_pattern)
     index = DatasetIndex()
     matched = 0
     loaded = {}  # (user, sample number) -> the path it was read from
     for path in sorted(root.iterdir()):
-        m = pattern.search(path.name)
+        m = NAME_PATTERN.search(path.name)
         if not m:
             continue
         matched += 1
@@ -224,7 +230,7 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
             issue = f"duplicate of {loaded[user, sample_no]}: user {user}, sample {sample_no}"
             index.errors.append(FileIssue(str(path), issue))
             continue
-        label = GENUINE if sample_no <= genuine_max else FORGED
+        label = GENUINE if sample_no <= GENUINE_MAX else FORGED
         try:
             sample = parse_sample(path.read_text(), user, sample_no, label, str(path))
         except Exception as exc:  # noqa: BLE001 - per-file errors are report entries
@@ -235,7 +241,7 @@ def load_dataset(root, name_pattern=DEFAULT_NAME_PATTERN, genuine_max=DEFAULT_GE
         bucket = index.genuine if label == GENUINE else index.forged
         bucket.setdefault(user, []).append(sample)
     if matched == 0:
-        index.warnings.append(f"{root}: no files matched pattern {name_pattern!r}")
+        index.warnings.append(f"{root}: no files matched pattern {NAME_PATTERN.pattern!r}")
     for user in index.user_ids:
         index.genuine.get(user, []).sort(key=lambda s: s.sample_index)
         index.forged.get(user, []).sort(key=lambda s: s.sample_index)

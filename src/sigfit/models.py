@@ -122,8 +122,9 @@ class SumOfSines(_Family):
         span = max(float(x[-1] - x[0]), 1.0)
         b_level = 0.3 / span
         freqs = [b_level]
-        coef, *_ = np.linalg.lstsq(_sine_design(x, freqs), y, rcond=None)
-        residual = y - _sine_design(x, freqs) @ coef
+        design = _sine_design(x, freqs)  # current with freqs throughout, as is coef
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        residual = y - design @ coef
         want = max(n_terms, 2) if n_terms == 1 else n_terms
         while len(freqs) < want:
             w = _dominant_frequency(x, residual)
@@ -154,8 +155,6 @@ class SumOfSines(_Family):
                 challenger = [w] + freqs[1:]
                 design_c = _sine_design(x, challenger)
                 coef_c, *_ = np.linalg.lstsq(design_c, y, rcond=None)
-                design = _sine_design(x, freqs)
-                coef, *_ = np.linalg.lstsq(design, y, rcond=None)
                 if np.sum((y - design_c @ coef_c) ** 2) < np.sum((y - design @ coef) ** 2):
                     freqs, coef = challenger, coef_c
         terms = [
@@ -569,8 +568,8 @@ def _require_points(y, n_params):
         )
 
 
-def _projection_peak(x, residual, w0, half_width, n_points=25):
-    grid = w0 + half_width * np.linspace(-1.0, 1.0, n_points)
+def _projection_peak(x, residual, w0, half_width):
+    grid = w0 + half_width * np.linspace(-1.0, 1.0, 25)
     grid = grid[grid > 0]
     if len(grid) == 0:
         return w0

@@ -157,12 +157,11 @@ def _segmented_block(series, channel, config):
             raise SigfitError(
                 f"{len(y)} points cannot be split into {config.n_segments} parts of >= 2"
             )
-        u = x[idx]
-        u = (u - u[0]) / (u[-1] - u[0])
-        result = solver.fit_series(ChannelSeries(u, y[idx]), family, n_terms, config.solver)
+        unit = ChannelSeries(x[idx], y[idx]).on_unit_interval()
+        result = solver.fit_series(unit, family, n_terms, config.solver)
         coeffs = models.canonicalize(result.params).param_vector()
         block[3 * k : 3 * k + len(coeffs)] = coeffs
-        predictions[idx] = models.evaluate(result.params, u)
+        predictions[idx] = models.evaluate(result.params, unit.abscissa)
         iterations += result.iterations
         if result.termination != solver.CONVERGED:
             termination = result.termination

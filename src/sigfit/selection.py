@@ -5,8 +5,10 @@ segment, every candidate family contributes a reference curve; the
 discrete Riemann sum of the absolute gap |f - g| accumulates into a
 per-family total, and families rank ascending by that total.
 
-Reference-curve construction per segment works on the segment's abscissa
-rescaled to [0, 1], which keeps the fixed forms on a sane scale:
+Segments are ``ingest.ChannelSeries`` slices of the channel. Reference-curve
+construction per segment works on the segment rescaled to [0, 1] by
+``ChannelSeries.on_unit_interval``, which keeps the fixed forms on a sane
+scale:
 
 * ``sinusoidal``   single-term sum-of-sines, fitted (a channel's segments
   fit in lockstep, see ``_sinusoidal_references``)
@@ -52,20 +54,6 @@ EQUATION_LABELS = {
 
 
 @dataclass(frozen=True)
-class Segment:
-    abscissa: np.ndarray
-    ordinate: np.ndarray
-
-    @property
-    def length(self):
-        return len(self.ordinate)
-
-    def unit_abscissa(self):
-        x = self.abscissa
-        return (x - x[0]) / (x[-1] - x[0])
-
-
-@dataclass(frozen=True)
 class AreaReport:
     family: str
     per_segment: tuple
@@ -73,7 +61,7 @@ class AreaReport:
 
 
 def segment(series, segment_size=DEFAULT_SEGMENT_SIZE):
-    """Tile a series into ordered segments of ``segment_size`` points.
+    """Tile a series into ordered ``ChannelSeries`` of ``segment_size`` points.
 
     All segments except possibly the last have exactly ``segment_size``
     points; a single trailing orphan point is merged into the final
@@ -90,7 +78,7 @@ def segment(series, segment_size=DEFAULT_SEGMENT_SIZE):
     bounds = list(range(0, n, segment_size)) + [n]
     if bounds[-1] - bounds[-2] == 1:  # orphan point joins the last full segment
         bounds.pop(-2)
-    return [Segment(x[lo:hi], y[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [ChannelSeries(x[lo:hi], y[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def area_between(seg, f_values, g_values):
@@ -101,11 +89,12 @@ def area_between(seg, f_values, g_values):
     """
     f = np.asarray(f_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
-    if len(f) != seg.length or len(g) != seg.length:
+    n = len(seg)
+    if len(f) != n or len(g) != n:
         raise LengthMismatchError("curve values must align with the segment")
-    widths = np.empty(seg.length)
+    widths = np.empty(n)
     widths[1:] = np.diff(seg.abscissa)
-    widths[0] = widths[1] if seg.length > 1 else 0.0
+    widths[0] = widths[1] if n > 1 else 0.0
     return float(np.abs(f - g) @ widths)
 
 
@@ -124,37 +113,36 @@ def _sinusoidal_references(segments):
     fits of equal-length segments run in lockstep, one ``fit_many`` per
     length, with the same results as one ``solver.fit`` each.
     """
-    units = [seg.unit_abscissa() for seg in segments]
+    units = [seg.on_unit_interval() for seg in segments]
     fitted = [None] * len(segments)
     groups = {}  # segment length -> [(segment position, fit problem)]
-    for k, (seg, u) in enumerate(zip(segments, units)):
-        series = ChannelSeries(u, seg.ordinate)
-        if seg.length >= 6:
-            guess = models.initial_guess("sum-of-sines", series, 1)
+    for k, unit in enumerate(units):
+        n = len(unit)
+        if n >= 6:
+            guess = models.initial_guess("sum-of-sines", unit, 1)
         else:
-            guess = _level_sine(seg.ordinate)
-        if seg.length >= guess.n_params:
-            groups.setdefault(seg.length, []).append((k, solver.FitProblem(series, guess)))
+            guess = _level_sine(unit.ordinate)
+        if n >= guess.n_params:
+            groups.setdefault(n, []).append((k, solver.FitProblem(unit, guess)))
         else:
             fitted[k] = guess
     for group in groups.values():
         results = solver.fit_many([problem for _, problem in group], _SEGMENT_FIT_CONFIG)
         for (k, _), result in zip(group, results):
             fitted[k] = result.params
-    return [models.evaluate(params, u) for params, u in zip(fitted, units)]
+    return [models.evaluate(params, unit.abscissa) for params, unit in zip(fitted, units)]
 
 
 def reference_curve(candidate, seg):
-    """Candidate curve values on one segment's unit abscissa."""
-    u = seg.unit_abscissa()
-    y = seg.ordinate
+    """Candidate curve values on one segment rescaled to [0, 1]."""
     if candidate == "sinusoidal":
         return _sinusoidal_references([seg])[0]
+    unit = seg.on_unit_interval()
     if candidate == "parabolic":
-        return models.evaluate(models.Parabola.seed(u, y, 1), u)
+        return models.evaluate(models.Parabola.seed(unit.abscissa, unit.ordinate, 1), unit.abscissa)
     if candidate in models.FAMILIES:
-        result = solver.fit_series(ChannelSeries(u, y), candidate, 1, _SEGMENT_FIT_CONFIG)
-        return models.evaluate(result.params, u)
+        result = solver.fit_series(unit, candidate, 1, _SEGMENT_FIT_CONFIG)
+        return models.evaluate(result.params, unit.abscissa)
     raise InvalidParamsError(f"unknown candidate {candidate!r}")
 
 

@@ -14,7 +14,8 @@ Trial steps that leave a family's feasible set or produce non-finite
 values are rejected like any other failed step.
 
 The residual convention is F = f - y, so chi2 = F.F is the sum of squared
-errors and the damped normal step is d = -(J'J + mu*I)^{-1} J'F.
+errors and the damped normal step is d = -(J'J + mu*I)^{-1} J'F. Values
+and Jacobians come from the family's ``eval_vec`` and ``jac_vec`` alone.
 Every normal solve goes through one shared routine: damped systems are
 positive definite by construction and use an LU solve; the undamped
 Gauss-Newton system gets a rank-revealing SVD so deficiency surfaces as
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, models
+from . import models
 from .errors import (
     DomainError,
     InvalidParamsError,
@@ -356,17 +357,15 @@ class _Lockstep:
         for name in self.__slots__:
             setattr(self, name, getattr(self, name)[keep])
 
-    def residuals(self, vecs):
-        return _kernels.sumsines_eval(self.x, vecs) - self.y
-
 
 def fit_many(problems, config=None):
     """Levenberg-Marquardt over many sum-of-sines problems in lockstep.
 
     The problems share one point count and one term count; abscissa,
     ordinate and start are each problem's own. One round takes one
-    damped trial step for every unfinished problem, with the Jacobians
-    (B, N, P), normal matrices (B, P, P) and solves stacked, while mu, the
+    damped trial step for every unfinished problem: the family's
+    ``eval_vec`` and ``jac_vec`` take the stacked rows, and the Jacobians
+    (B, N, P), normal matrices (B, P, P) and solves are stacked, while mu, the
     counters, the stall window and the termination stay per problem.
     Finished problems leave the batch. This pays off when per-call numpy
     overhead dominates, as on short segments; large fits are bound by their
@@ -384,7 +383,7 @@ def fit_many(problems, config=None):
             f"fit_many runs {LEVENBERG_MARQUARDT} only, not {config.algorithm!r}"
         )
     problems = list(problems)
-    for problem in problems:
+    for problem in problems:  # the one family whose kernels take stacked rows
         family = problem.initial.family
         if family != models.SumOfSines.family:
             raise InvalidParamsError(f"fit_many fits sum-of-sines only, not {family!r}")
@@ -409,12 +408,13 @@ def _lockstep(problems, config, n, p):
     if n < p or any(len(q.series.abscissa) != n for q in problems):
         return None
     window = _STALL_WINDOW
+    eval_vec, jac_vec = problems[0].initial.eval_vec, problems[0].initial.jac_vec
     b = _Lockstep()
     b.index = np.arange(len(problems))
     b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in problems]).reshape(-1, n)
     b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in problems]).reshape(-1, n)
     b.vec = np.array([q.initial.param_vector() for q in problems]).reshape(-1, p)
-    b.fvec = b.residuals(b.vec)
+    b.fvec = eval_vec(b.vec, b.x) - b.y
     if not np.isfinite(b.fvec).all():
         return None
     b.chi2 = _dots(b.fvec)
@@ -446,7 +446,7 @@ def _lockstep(problems, config, n, p):
         # ones (on 3-parameter segments, picking out the rows that moved
         # costs more than the rows it saves)
         if moved:
-            jac = _kernels.sumsines_jac(b.x, b.vec)
+            jac = jac_vec(b.vec, b.x)
             if not np.isfinite(jac).all():
                 return None
             jac_t = jac.transpose(0, 2, 1)
@@ -469,7 +469,7 @@ def _lockstep(problems, config, n, p):
         d = _solve_normal_stack(damped, -b.grad)
         stagnant = np.sqrt(_dots(d)) < _MIN_STEP_NORM  # zero-change iterations
         trial = b.vec + d
-        ft = b.residuals(trial)
+        ft = eval_vec(trial, b.x) - b.y
         finite = np.isfinite(ft).all(axis=1)
         if finite.all():
             c = _dots(ft)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParamsError
-from .ingest import DEFAULT_GENUINE_MAX, FORGED, GENUINE, SignatureSample
+from .ingest import FORGED, GENUINE, GENUINE_MAX, SignatureSample
 
 DEFAULT_SEED = 20040501
 DEVICE_TICK_MS = 10
@@ -40,14 +40,27 @@ class _CoordTemplate:
     tones: tuple
 
 
-def _separated_frequencies(rng, n, lo=0.035, spacing=0.093, jitter=0.008):
+def _separated_frequencies(rng, n):
     """n angular frequencies on a jittered lattice, coarse strokes first.
 
     Guaranteed pairwise separation of ``spacing - jitter``: tones closer
     than a couple of DFT bins at the shortest sample lengths are not
     resolvable and would not appear in real pen strokes anyway.
     """
-    return [float(lo + i * spacing + rng.uniform(0.0, jitter)) for i in range(n)]
+    lo, spacing, jitter = 0.035, 0.093, 0.008
+    return (lo + np.arange(n) * spacing + rng.uniform(0.0, jitter, n)).tolist()
+
+
+def _tones(rng, amp0_range, decay, scale_range):
+    """Ten separated tones, amplitudes falling as (j + 1) ** -decay, with
+    per-tone (scale, phase) draws."""
+    freqs = _separated_frequencies(rng, 10)
+    amp0 = rng.uniform(*amp0_range)
+    draws = rng.uniform((scale_range[0], 0.0), (scale_range[1], 2 * np.pi), (len(freqs), 2))
+    return tuple(
+        _Tone(amp0 * (j + 1) ** -decay * scale, f, phase)
+        for j, (f, (scale, phase)) in enumerate(zip(freqs, draws.tolist()))
+    )
 
 
 def _coord_template(rng):
@@ -57,27 +70,14 @@ def _coord_template(rng):
     an eleven-term periodic model. Swing is large relative to the level,
     as on a real tablet where the pen crosses most of the surface.
     """
-    freqs = _separated_frequencies(rng, 10)
-    amp0 = rng.uniform(1100, 1900)
-    tones = tuple(
-        _Tone(amp0 * (j + 1) ** -0.75 * rng.uniform(0.7, 1.3), f, rng.uniform(0, 2 * np.pi))
-        for j, f in enumerate(freqs)
-    )
+    tones = _tones(rng, (1100, 1900), 0.75, (0.7, 1.3))
     swing = np.sqrt(0.5 * sum(t.amp**2 for t in tones))
-    return _CoordTemplate(
-        level=swing * rng.uniform(1.4, 2.2),
-        tones=tones,
-    )
+    return _CoordTemplate(level=swing * rng.uniform(1.4, 2.2), tones=tones)
 
 
 def _angle_template(rng, level_range, amp0_range):
     """Orientation channels: slow posture drift plus stroke-rate tremor."""
-    freqs = _separated_frequencies(rng, 10)
-    amp0 = rng.uniform(*amp0_range)
-    tones = tuple(
-        _Tone(amp0 * (j + 1) ** -0.9 * rng.uniform(0.6, 1.4), f, rng.uniform(0, 2 * np.pi))
-        for j, f in enumerate(freqs)
-    )
+    tones = _tones(rng, amp0_range, 0.9, (0.6, 1.4))
     return _CoordTemplate(level=rng.uniform(*level_range), tones=tones)
 
 
@@ -106,19 +106,19 @@ def make_user_template(user_id, rng):
     )
 
 
+# per-tone (amplitude scale, frequency scale, phase shift) bounds, and the
+# level shift bound: a forger's error, then a genuine writer's jitter
+_FORGED_JITTER = ((0.55, 0.96, -0.7), (1.45, 1.04, 0.7)), 500
+_GENUINE_JITTER = ((0.93, 0.99, -0.12), (1.07, 1.01, 0.12)), 50
+
+
 def _jitter_coord(tpl, rng, forged):
-    if forged:
-        level = tpl.level + rng.uniform(-500, 500)
-        scale = lambda: rng.uniform(0.55, 1.45)  # noqa: E731
-        fscale = lambda: rng.uniform(0.96, 1.04)  # noqa: E731
-        dphase = lambda: rng.uniform(-0.7, 0.7)  # noqa: E731
-    else:
-        level = tpl.level + rng.uniform(-50, 50)
-        scale = lambda: rng.uniform(0.93, 1.07)  # noqa: E731
-        fscale = lambda: rng.uniform(0.99, 1.01)  # noqa: E731
-        dphase = lambda: rng.uniform(-0.12, 0.12)  # noqa: E731
+    (lo, hi), shift = _FORGED_JITTER if forged else _GENUINE_JITTER
+    level = tpl.level + rng.uniform(-shift, shift)
+    draws = rng.uniform(lo, hi, (len(tpl.tones), 3))
     tones = [
-        _Tone(t.amp * scale(), t.freq * fscale(), t.phase + dphase()) for t in tpl.tones
+        _Tone(t.amp * scale, t.freq * fscale, t.phase + dphase)
+        for t, (scale, fscale, dphase) in zip(tpl.tones, draws.tolist())
     ]
     return level, tones
 
@@ -217,10 +217,10 @@ def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
     """
     from .ingest import serialize_sample
 
-    if genuine > DEFAULT_GENUINE_MAX:
+    if genuine > GENUINE_MAX:
         raise InvalidParamsError(
-            f"genuine {genuine} > {DEFAULT_GENUINE_MAX}: the loader labels files "
-            f"S{DEFAULT_GENUINE_MAX + 1} and up as forgeries"
+            f"genuine {genuine} > {GENUINE_MAX}: the loader labels files "
+            f"S{GENUINE_MAX + 1} and up as forgeries"
         )
     samples = generate_samples(n_users, seed, genuine, forged)
     root = Path(root)
@@ -229,7 +229,7 @@ def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
     for sample in samples:
         number = sample.sample_index
         if sample.label == FORGED:
-            number += DEFAULT_GENUINE_MAX - genuine
+            number += GENUINE_MAX - genuine
         path = root / f"U{sample.user_id}S{number}.TXT"
         path.write_text(serialize_sample(sample))
         paths.append(path)

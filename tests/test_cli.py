@@ -390,7 +390,7 @@ class TestSynthCommand:
 
     def test_more_genuine_than_the_loader_labels_exits_2(self, tmp_path):
         out = tmp_path / "out"
-        limit = ingest.DEFAULT_GENUINE_MAX
+        limit = ingest.GENUINE_MAX
         assert run_cli(["synth", "--users", "1", "--genuine", limit + 1, "--out", out]) == 2
         assert not list(out.glob("*.TXT"))
 

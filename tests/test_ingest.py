@@ -7,6 +7,8 @@ from sigfit.errors import (
     CountMismatchError,
     DirectoryNotFoundError,
     EmptyInputError,
+    InvalidParamsError,
+    LengthMismatchError,
     MalformedLineError,
 )
 
@@ -109,6 +111,26 @@ class TestExtractChannel:
         assert series.ordinate.dtype == np.float64
 
 
+class TestChannelSeries:
+    def test_unequal_lengths_raise_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            ingest.ChannelSeries(np.arange(5.0), np.zeros(4))
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["repeat", "decrease"])
+    def test_non_increasing_abscissa_raises_invalid_params(self, x):
+        with pytest.raises(InvalidParamsError, match="strictly increasing"):
+            ingest.ChannelSeries(np.asarray(x), np.zeros(3))
+
+    @pytest.mark.parametrize("abscissa", ["index", "timestamp"])
+    def test_on_unit_interval_rescales_a_part(self, small_dataset, abscissa):
+        series = ingest.extract_channel(small_dataset[0], 1, abscissa)
+        x, y = series.abscissa[37:57], series.ordinate[37:57]
+        unit = ingest.ChannelSeries(x, y).on_unit_interval()
+        assert unit.abscissa[0] == 0.0 and unit.abscissa[-1] == 1.0
+        assert unit.abscissa.tobytes() == ((x - x[0]) / (x[-1] - x[0])).tobytes()
+        assert unit.ordinate is y
+
+
 class TestCheckSample:
     def test_decreasing_timestamp_warns_with_position(self):
         data = np.array(
@@ -198,10 +220,3 @@ class TestLoadDataset:
         index = ingest.load_dataset(tmp_path)
         assert index.counts() == {"1": (1, 0)}
         assert [e.path for e in index.errors] == [str(tmp_path / "U01S01.txt")]
-
-    def test_custom_pattern(self, tmp_path):
-        (tmp_path / "sig_7_3.txt").write_text(TABLE_STYLE_FILE)
-        index = ingest.load_dataset(
-            tmp_path, name_pattern=r"sig_(?P<user>\d+)_(?P<sample>\d+)\.txt$", genuine_max=5
-        )
-        assert index.counts() == {"7": (1, 0)}

@@ -16,21 +16,22 @@ class TestSegment:
     def test_220_points_make_11_segments(self):
         segments = selection.segment(_series_of_length(220), 20)
         assert len(segments) == 11
-        assert all(seg.length == 20 for seg in segments)
+        assert all(len(seg) == 20 for seg in segments)
+        assert all(isinstance(seg, ingest.ChannelSeries) for seg in segments)
 
     def test_exact_single_segment(self):
         segments = selection.segment(_series_of_length(20), 20)
         assert len(segments) == 1
-        assert segments[0].length == 20
+        assert len(segments[0]) == 20
 
     def test_short_tail_segment(self):
         segments = selection.segment(_series_of_length(205), 20)
         assert len(segments) == 11
-        assert segments[-1].length == 5
+        assert len(segments[-1]) == 5
 
     def test_orphan_point_joins_last_segment(self):
         segments = selection.segment(_series_of_length(41), 20)
-        assert [seg.length for seg in segments] == [20, 21]
+        assert [len(seg) for seg in segments] == [20, 21]
 
     def test_too_small(self):
         with pytest.raises(SegmentTooSmallError):
@@ -45,7 +46,7 @@ class TestSegment:
         segments = selection.segment(series, size)
         rebuilt = np.concatenate([seg.ordinate for seg in segments])
         np.testing.assert_array_equal(rebuilt, series.ordinate)
-        assert all(seg.length >= 2 for seg in segments)
+        assert all(len(seg) >= 2 for seg in segments)
         expected = int(np.ceil(n / size)) - (1 if n % size == 1 and n > size else 0)
         assert len(segments) == expected
 
@@ -59,7 +60,7 @@ class TestAreaBetween:
         # offset c over uniform spacing dx: area = c * n * dx under the
         # first-interval-uses-following-gap convention
         x = np.arange(0.0, 20.0, 2.0)
-        seg = selection.Segment(x, np.zeros(10))
+        seg = ingest.ChannelSeries(x, np.zeros(10))
         area = selection.area_between(seg, np.zeros(10), np.full(10, 3.0))
         assert area == pytest.approx(3.0 * 10 * 2.0)
 
@@ -68,7 +69,7 @@ class TestAreaBetween:
         x = np.linspace(0.0, 30.0, 400)
         f = 3.0 * np.sin(0.7 * x) + 0.2 * x
         g = 0.05 * (x - 15.0) ** 2 - 2.0
-        seg = selection.Segment(x, f)
+        seg = ingest.ChannelSeries(x, f)
         area = selection.area_between(seg, f, g)
         fine = np.linspace(x[0], x[-1], 40_001)
         oracle = np.trapezoid(np.abs(np.interp(fine, x, f) - np.interp(fine, x, g)), fine)
@@ -77,7 +78,7 @@ class TestAreaBetween:
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         x = np.arange(25.0)
-        seg = selection.Segment(x, rng.normal(size=25))
+        seg = ingest.ChannelSeries(x, rng.normal(size=25))
         assert selection.area_between(seg, seg.ordinate, rng.normal(size=25)) >= 0.0
 
     def test_length_mismatch(self):
@@ -150,18 +151,17 @@ def _ranking_with_one_fit_per_segment(series, segment_size):
     for candidate in selection.TABLE_CANDIDATES:
         areas = []
         for seg in selection.segment(series, segment_size):
-            u = seg.unit_abscissa()
+            part = seg.on_unit_interval()
             if candidate != "sinusoidal":
                 g = selection.reference_curve(candidate, seg)
             else:
-                part = ingest.ChannelSeries(u, seg.ordinate)
-                if seg.length >= 6:
+                if len(seg) >= 6:
                     params = models.initial_guess("sum-of-sines", part, 1)
                 else:
                     params = models.SumOfSines(((float(np.mean(seg.ordinate)), 1e-3, np.pi / 2.0),))
-                if seg.length >= 3:
+                if len(seg) >= 3:
                     params = solver.fit(solver.FitProblem(part, params), config).params
-                g = models.evaluate(params, u)
+                g = models.evaluate(params, part.abscissa)
             areas.append(selection.area_between(seg, seg.ordinate, g))
         reports.append((candidate, selection.AreaReport(candidate, tuple(areas), sum(areas))))
     return sorted(reports, key=lambda item: item[1].total)
@@ -188,7 +188,7 @@ def test_reference_curve_shapes(reference_series):
     seg = selection.segment(reference_series, 20)[3]
     for candidate in ("sinusoidal", "parabolic", "exponential", "sine"):
         g = selection.reference_curve(candidate, seg)
-        assert g.shape == (seg.length,)
+        assert g.shape == (len(seg),)
         assert np.all(np.isfinite(g))
     exp_curve = selection.reference_curve("exponential", seg)
-    np.testing.assert_allclose(exp_curve, np.exp(seg.unit_abscissa()))
+    np.testing.assert_allclose(exp_curve, np.exp(seg.on_unit_interval().abscissa))

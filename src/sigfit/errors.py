@@ -45,10 +45,6 @@ class LengthMismatchError(SigfitError):
     """Paired arrays have different lengths."""
 
 
-class SingularNormalMatrixError(SigfitError):
-    """Normal matrix is rank deficient at zero damping."""
-
-
 class NonFiniteValueError(SigfitError):
     """Model evaluation produced NaN or infinity."""
 

@@ -396,7 +396,9 @@ class Weibull2(_Family):
         return t
 
     def eval_vec(self, v, x):
-        return np.exp(-(self._scaled(v, x) ** v[0]))
+        t = self._scaled(v, x)
+        with np.errstate(over="ignore"):  # (lam*t)^beta = inf survives as exp(-inf) = 0
+            return np.exp(-(t ** v[0]))
 
     def jac_vec(self, v, x):
         beta, lam = v[0], v[1]

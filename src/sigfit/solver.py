@@ -14,19 +14,20 @@ Trial steps that leave a family's feasible set or produce non-finite
 values are rejected like any other failed step.
 
 The residual convention is F = f - y, so chi2 = F.F is the sum of squared
-errors and the damped normal step is d = -(J'J + mu*I)^{-1} J'F. Values
-and Jacobians come from the family's ``eval_vec`` and ``jac_vec`` alone.
-Every normal solve goes through one shared routine: damped systems are
-positive definite by construction and use an LU solve; the undamped
-Gauss-Newton system gets a rank-revealing SVD so deficiency surfaces as
-an error code instead of garbage steps.
+errors. Values and Jacobians come from the family's ``eval_vec`` and
+``jac_vec`` alone.
 
 Index-abscissa fits put column norms of J five orders of magnitude apart
 (amplitude columns O(1), frequency columns O(A*x)), which makes identity
-damping hover without progress. ``fit`` therefore works in the
-column-equilibrated variables: damping is relative to diag(J'J) and the
-trust region is measured in the scaled space, starting from radius
-max(1, |scaled initial params|).
+damping hover without progress. Every algorithm therefore works in the
+column-equilibrated variables z = s*d, s = sqrt(diag(J'J)) (Moré's
+scaling), built once per iteration by ``_equilibrate``: A = J'J/(s s'),
+g = J'F/s. Gauss-Newton solves A z = -g by a rank-revealing SVD, so
+deficiency surfaces as an error code instead of garbage steps; LM solves
+(A + mu*I) z = -g, which is positive definite and takes an LU solve, so
+damping is relative to diag(J'J); the dogleg trust region works on (A, g),
+starting from radius max(1, |scaled initial params|). ``fit`` and
+``fit_many`` take their LM step from the one ``_damped_step``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     InvalidParamsError,
     LengthMismatchError,
     NonFiniteValueError,
-    SingularNormalMatrixError,
     TooFewPointsError,
 )
 
@@ -100,36 +100,46 @@ class FitResult:
     trace: tuple = ()  # accepted chi2 per iteration, starting value included
 
 
-def _solve_normal(a, b, mu_is_zero):
-    """Solve the (already damped) normal system a d = b.
+def _equilibrate(ata, grad):
+    """J'J and J'F in the column-equilibrated variables, and the scale s.
 
-    The system is symmetrically equilibrated first (unit diagonal), which
-    leaves the solution unchanged but tames the huge column-norm spread of
-    index-abscissa fits. Damped systems are positive definite and take the
-    LU fast path; the undamped system is checked for rank via SVD, raising
-    SingularNormalMatrixError on deficiency. Gauss-Newton, LM and trust
-    region steps all flow through here.
+    Returns J'J / (s s'), J'F / s and s = sqrt(diag(J'J)), with the zero
+    entries of s (zero Jacobian columns) set to 1. Takes one system, (P, P)
+    and (P,), or a stack of them, (B, P, P) and (B, P). A step z in these
+    variables is the step z / s in the parameters.
     """
-    p = a.shape[0]
-    scale = np.sqrt(a.diagonal())
-    if not (scale > 0).all():
-        scale[~(scale > 0)] = 1.0
-    ah = a / (scale[:, None] * scale)
-    bh = b / scale
-    if not mu_is_zero:
-        try:
-            return np.linalg.solve(ah, bh) / scale
-        except np.linalg.LinAlgError:
-            pass
-    u, s, vt = np.linalg.svd(ah)
-    tol = s[0] * p * np.finfo(float).eps if s[0] > 0 else 0.0
+    s = np.sqrt(ata.diagonal(axis1=-2, axis2=-1))
+    s = np.where(s > 0, s, 1.0)
+    return ata / (s[..., :, None] * s[..., None, :]), grad / s, s
+
+
+def _svd_solve(a, b):
+    """The least-squares solution of a z = b over a's numerical range, and a's rank."""
+    u, s, vt = np.linalg.svd(a)
+    tol = s[0] * len(s) * np.finfo(float).eps if s[0] > 0 else 0.0
     rank = int(np.sum(s > tol))
-    if rank < p:
-        if mu_is_zero:
-            raise SingularNormalMatrixError(f"normal matrix rank {rank} < {p} at mu=0")
-        keep = s > tol
-        return (vt[keep].T @ ((u[:, keep].T @ bh) / s[keep])) / scale
-    return (vt.T @ ((u.T @ bh) / s)) / scale
+    if rank < len(s):  # s is descending: keep its leading part
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    return vt.T @ ((u.T @ b) / s), rank
+
+
+def _damped_step(ah, gh, mu):
+    """The LM step z of (ah + mu*I) z = -gh, for one system or a stack of them.
+
+    With mu > 0 the matrix is positive definite and takes an LU solve. A
+    stacked solve fails as a whole when one slice fails, so on LinAlgError
+    each system is solved alone; one that LU cannot solve (mu has underflowed
+    to 0 and ah is singular) takes the SVD solve.
+    """
+    p = gh.shape[-1]
+    damped = ah.copy()
+    damped.reshape(*ah.shape[:-2], -1)[..., :: p + 1] += np.asarray(mu)[..., None]
+    try:
+        return np.linalg.solve(damped, -gh[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if gh.ndim == 1:
+            return _svd_solve(damped, -gh)[0]
+        return np.array([_damped_step(a, g, m) for a, g, m in zip(ah, gh, mu)])
 
 
 def _dogleg(gn_step, grad, quad, radius):
@@ -216,15 +226,15 @@ def fit(problem, config=None):
         if chi2 == 0.0 or not grad.any():
             termination = CONVERGED
             break
-        ata = jac.T @ jac
+        ah, gh, s = _equilibrate(jac.T @ jac, grad)
 
         accepted = None  # (vec, fvec, chi2)
         if config.algorithm == GAUSS_NEWTON:
-            try:
-                d = _solve_normal(ata, -grad, True)
-            except SingularNormalMatrixError:
+            z, rank = _svd_solve(ah, -gh)
+            if rank < p:
                 termination = SINGULAR_NORMAL_MATRIX
                 break
+            d = z / s
             scale = 1.0
             for _h in range(_GN_MAX_HALVINGS):
                 trial = vec + scale * d
@@ -241,15 +251,9 @@ def fit(problem, config=None):
 
         elif config.algorithm == LEVENBERG_MARQUARDT:
             if mu is None:
-                mu = _MU_INITIAL  # relative to diag(J'J), i.e. mu*I when equilibrated
-            damp = ata.diagonal().copy()
-            if not (damp > 0).all():
-                damp[~(damp > 0)] = float(damp.max()) * 1e-14 + 1e-300
-            neg_grad = -grad
+                mu = _MU_INITIAL
             while True:
-                damped = ata.copy()
-                damped.reshape(-1)[:: p + 1] += mu * damp  # the diagonal, in place
-                d = _solve_normal(damped, neg_grad, False)
+                d = _damped_step(ah, gh, mu) / s
                 if math.sqrt(d @ d) < _MIN_STEP_NORM:
                     # stagnant step: counts as a zero-change iteration
                     accepted = (vec, fvec, chi2)
@@ -269,25 +273,17 @@ def fit(problem, config=None):
                 break
 
         else:  # trust region: dogleg in the equilibrated variables
-            # per-parameter scale: unit-diagonal (equilibrated) variables tame
-            # the column-norm spread of index-abscissa fits
-            dscale = np.sqrt(np.diag(ata))
-            dscale[~(dscale > 0)] = 1.0
-            ah = ata / np.outer(dscale, dscale)
-            gh = grad / dscale
-            try:
-                gn = _solve_normal(ah, -gh, True)
-            except SingularNormalMatrixError:
-                gn = None
+            z, rank = _svd_solve(ah, -gh)
+            gn = z if rank == p else None
             if radius == 0.0:
-                radius = max(1.0, float(np.linalg.norm(vec * dscale)))
+                radius = max(1.0, float(np.linalg.norm(vec * s)))
             while True:
                 z = _dogleg(gn, gh, ah, radius)
                 znorm = float(np.linalg.norm(z))
                 if znorm < _MIN_STEP_NORM:
                     termination = STEP_TOO_SMALL
                     break
-                trial = vec + z / dscale
+                trial = vec + z / s
                 ft = try_residuals(trial)
                 c = float(ft @ ft) if ft is not None else np.inf
                 predicted = -(2.0 * float(gh @ z) + float(z @ ah @ z))
@@ -328,21 +324,11 @@ def _dots(rows):
     return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
-def _solve_normal_stack(a, b):
-    """``_solve_normal(a[k], b[k], False)`` for every k, in one stacked solve."""
-    scale = np.sqrt(a.diagonal(axis1=1, axis2=2))
-    scale = np.where(scale > 0, scale, 1.0)
-    ah = a / (scale[:, :, None] * scale[:, None, :])
-    try:
-        return np.linalg.solve(ah, (b / scale)[:, :, None])[:, :, 0] / scale
-    except np.linalg.LinAlgError:  # one singular slice fails the whole stack
-        return np.array([_solve_normal(ak, bk, False) for ak, bk in zip(a, b)])
-
-
 class _Lockstep:
     """The unfinished problems of a ``fit_many`` batch, one row each.
 
-    ``grad`` and ``ata`` hold J'F and J'J at the row's current point.
+    ``ah``, ``gh`` and ``scale`` hold the row's equilibrated J'J and J'F
+    and its scale s (``_equilibrate``) at the row's current point.
     ``trace`` holds the row's accepted chi2 values, the one after ``k``
     accepted iterations in column ``k``: it is the result's trace and the
     stall window at once.
@@ -350,7 +336,7 @@ class _Lockstep:
 
     __slots__ = (
         "index", "x", "y", "vec", "fvec", "chi2", "mu", "small", "iterations",
-        "grad", "ata", "trace",
+        "ah", "gh", "scale", "trace",
     )
 
     def take(self, keep):
@@ -441,32 +427,26 @@ def _lockstep(problems, config, n, p):
     while b.index.size:
         # each row starts, or resumes, an iteration: the Jacobian at its
         # current point is the one fit took there. A rejected trial leaves
-        # the point unchanged, so after a round with no accepted step J'F
-        # and J'J are kept; after any other round the whole stack takes new
-        # ones (on 3-parameter segments, picking out the rows that moved
-        # costs more than the rows it saves)
+        # the point unchanged, so after a round with no accepted step the
+        # equilibrated system is kept; after any other round the whole stack
+        # takes a new one (on 3-parameter segments, picking out the rows
+        # that moved costs more than the rows it saves)
         if moved:
             jac = jac_vec(b.vec, b.x)
             if not np.isfinite(jac).all():
                 return None
             jac_t = jac.transpose(0, 2, 1)
-            b.grad = (jac_t @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
-            b.ata = jac_t @ jac
+            grad = (jac_t @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
+            b.ah, b.gh, b.scale = _equilibrate(jac_t @ jac, grad)
             # chi2 >= 0, so chi2.all() says no chi2 is zero
-            if not (b.chi2.all() and b.grad.any(axis=1).all()):
-                going = (b.chi2 != 0.0) & b.grad.any(axis=1)
+            if not (b.chi2.all() and grad.any(axis=1).all()):
+                going = (b.chi2 != 0.0) & grad.any(axis=1)
                 finish(~going, CONVERGED)
                 b.take(going)
                 if not b.index.size:
                     break
         rows = np.arange(b.index.size)
-        damp = b.ata.diagonal(axis1=1, axis2=2).copy()
-        if not (damp > 0).all():
-            floor = damp.max(axis=1, keepdims=True) * 1e-14 + 1e-300
-            damp = np.where(damp > 0, damp, floor)
-        damped = b.ata.copy()
-        damped.reshape(len(damped), -1)[:, :: p + 1] += b.mu[:, None] * damp  # the diagonals
-        d = _solve_normal_stack(damped, -b.grad)
+        d = _damped_step(b.ah, b.gh, b.mu) / b.scale
         stagnant = np.sqrt(_dots(d)) < _MIN_STEP_NORM  # zero-change iterations
         trial = b.vec + d
         ft = eval_vec(trial, b.x) - b.y

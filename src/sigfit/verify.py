@@ -179,24 +179,19 @@ def compare_preprocessors(
     protocol=None,
     include=PREPROCESSORS,
     jobs=1,
-    fitted_vectors=None,
 ):
     """EER per preprocessing configuration under identical trials and seed.
 
     ``fitted`` is the coefficient-vector pipeline; ``truncate`` cuts every
     raw channel to the shortest sample; ``zero-pad`` extends every raw
-    channel to the longest. Pass ``fitted_vectors`` to reuse an existing
-    batch instead of refitting.
+    channel to the longest.
     """
     config = config or pipeline.PipelineConfig()
     protocol = protocol or Protocol()
     results = {}
     for name in include:
         if name == "fitted":
-            if fitted_vectors is not None:
-                vectors = fitted_vectors
-            else:
-                vectors = pipeline.uniformize_dataset(samples, config, jobs=jobs).vectors
+            vectors = pipeline.uniformize_dataset(samples, config, jobs=jobs).vectors
         elif name == "truncate":
             vectors = _truncate_vectors(samples, config.channels)
         elif name == "zero-pad":

@@ -259,19 +259,17 @@ class TestRuntimeProbe:
 
 
 def test_c09_eer_direction(acceptance_samples, fitted_batch):
+    protocol = verify.Protocol(enroll_size=10, seed=0)
+    trials = verify.score_trials(fitted_batch.vectors, protocol)
+    _, fitted = verify.roc_and_eer(trials)
     results = verify.compare_preprocessors(
-        acceptance_samples,
-        pipeline.PipelineConfig(),
-        verify.Protocol(enroll_size=10, seed=0),
-        include=("fitted", "truncate"),
-        fitted_vectors=fitted_batch.vectors,
+        acceptance_samples, pipeline.PipelineConfig(), protocol, include=("truncate",)
     )
-    fitted = results["fitted"]["eer"]
     truncate = results["truncate"]["eer"]
     ok = fitted < truncate
     print(
         f"criterion 09 {'PASS' if ok else 'FAIL'}: EER fitted={fitted:.4f} < "
-        f"truncate={truncate:.4f} over {results['fitted']['n_trials']} trials, "
+        f"truncate={truncate:.4f} over {len(trials)} trials, "
         f"{N_USERS} users"
     )
     assert ok, f"EER direction violated: fitted {fitted} vs truncate {truncate}"

@@ -1,7 +1,9 @@
 import json
+import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,10 +412,14 @@ class TestSynthCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the checkout's src/ first, whether or not the package is installed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "sigfit.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert "sigfit" in out.stdout

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,12 @@ class TestWeibullSurvivalMapping:
         np.testing.assert_allclose(
             models.evaluate(params, x), [1.0, np.exp(-1.0)], rtol=1e-14
         )
+
+    def test_an_overflowing_power_is_a_zero_survival_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = models.Weibull2(2.0, 1.0).eval_vec(np.array([2.0, 1.0]), np.array([0.0, 1e200]))
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
 class TestCanonicalize:

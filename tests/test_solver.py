@@ -86,6 +86,51 @@ class TestChiSquareGradient:
                 assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+class TestScaledNormalSystem:
+    # every algorithm solves in the variables z = s*d, s = sqrt(diag(J'J))
+    def test_the_damped_step_is_marquardts(self):
+        rng = np.random.default_rng(21)
+        jac = rng.normal(size=(3, 30, 5)) * np.array([1.0, 1e3, 1e-2, 10.0, 1e5])
+        fvec = rng.normal(size=(3, 30))
+        mu = np.array([1e-3, 1.0, 1e3])
+        ata = jac.transpose(0, 2, 1) @ jac
+        grad = (jac.transpose(0, 2, 1) @ fvec[:, :, None])[:, :, 0]
+        ah, gh, s = solver._equilibrate(ata, grad)
+        stacked = solver._damped_step(ah, gh, mu) / s
+        for k in range(3):
+            marquardt = ata[k] + mu[k] * np.diag(ata[k].diagonal())
+            expected = np.linalg.solve(marquardt, -grad[k])
+            one = solver._equilibrate(ata[k], grad[k])
+            np.testing.assert_allclose(solver._damped_step(one[0], one[1], mu[k]) / one[2],
+                                       expected, rtol=1e-10)
+            np.testing.assert_allclose(stacked[k], expected, rtol=1e-10)
+
+    def test_a_singular_slice_is_solved_alone(self):
+        # mu = 0 leaves the second system singular, so the stacked LU fails
+        ah = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        gh = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(ah, gh[:, :, None])
+        step = solver._damped_step(ah, gh, np.zeros(2))
+        np.testing.assert_allclose(step, [[-1.0, -2.0, -3.0], [-1.0, -2.0, 0.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("algorithm", [solver.LEVENBERG_MARQUARDT, solver.TRUST_REGION])
+    def test_zero_jacobian_columns_take_a_zero_step(self, algorithm):
+        x = np.arange(60.0)
+        series = make_series(x, np.sin(0.2 * x + 0.1))
+        problem = solver.FitProblem(series, models.SumOfSines(((0.0, 0.25, 0.3),)))
+        # a zero amplitude zeroes the frequency and phase columns
+        assert not models.jacobian(problem.initial, x)[:, 1:].any()
+        first = solver.fit(problem, solver.SolverConfig(algorithm, max_iterations=1))
+        amplitude, frequency, phase = first.params.terms[0]
+        assert (first.iterations, frequency, phase) == (1, 0.25, 0.3)
+        assert amplitude != 0.0
+        result = solver.fit(problem, solver.SolverConfig(algorithm))
+        assert result.iterations > 1
+        assert result.params.terms[0][1:] != (0.25, 0.3)
+        assert result.chi2 < first.chi2
+
+
 def _perturbed(params, rng, size=0.1):
     vec = params.param_vector()
     return params.with_vector(vec * (1.0 + size * rng.uniform(-1, 1, len(vec))))

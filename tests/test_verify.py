@@ -173,18 +173,6 @@ class TestComparePreprocessors:
             assert 0.0 <= first[name]["eer"] <= 1.0
             assert first[name]["n_trials"] == second[name]["n_trials"]
 
-    def test_precomputed_vectors_shortcut(self, tiny_dataset, fast_config):
-        protocol = verify.Protocol(enroll_size=10, seed=4)
-        batch = pipeline.uniformize_dataset(tiny_dataset, fast_config)
-        direct = verify.compare_preprocessors(
-            tiny_dataset, fast_config, protocol, include=("fitted",),
-            fitted_vectors=batch.vectors,
-        )
-        recomputed = verify.compare_preprocessors(
-            tiny_dataset, fast_config, protocol, include=("fitted",)
-        )
-        assert direct["fitted"]["eer"] == recomputed["fitted"]["eer"]
-
     def test_eer_table_csv(self, tiny_dataset, fast_config):
         results = verify.compare_preprocessors(
             tiny_dataset, fast_config, verify.Protocol(10, 4), include=("truncate", "zero-pad")

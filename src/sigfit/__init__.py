@@ -25,7 +25,6 @@ from .solver import (
     FitResult,
     SolverConfig,
     fit,
-    fit_many,
     fit_series,
 )
 from .verify import Protocol, compare_preprocessors, roc_and_eer, score_trials
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate",
     "extract_channel",
     "fit",
-    "fit_many",
     "fit_series",
     "gof_report",
     "initial_guess",

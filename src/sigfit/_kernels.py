@@ -1,11 +1,9 @@
 """Hot numerical kernels: model values and Jacobians, vectorized numpy.
 
 Callers look each kernel up on this module at call time, so a wrapper set
-on a name (a tracer, a counting test double) sees every call. The
-sum-of-sines pair shares a one-slot memo of the last point's sines, and it
-broadcasts over leading axes (``x (..., N)``, ``p (..., 3n)``): each slice
-of a stacked call equals the 1-D call on that slice bit for bit, because
-numpy's stacked matmul runs the same BLAS routine slice by slice.
+on a name (a tracer, a counting test double) sees every call. Each kernel
+takes one series ``x (N,)`` and one parameter vector. The sum-of-sines pair
+shares a one-slot memo of the last point's sines.
 
 Parameter packing conventions (one flat float64 vector per family):
 
@@ -20,11 +18,12 @@ import numpy as np
 BACKEND = "numpy"
 
 # One-slot memo of the latest sum-of-sines point: copies of (x, p), then
-# arg = x * B + C (an outer product per slice) and sin(arg). A solver evaluates a trial point and,
-# once it is accepted, takes the Jacobian at that same point, so the sines
-# are computed once. A hit needs bit-equal values, never mere identity: a
-# caller that mutates x or p in place gets a fresh computation. The slot is
-# one tuple, replaced whole, so a reader always sees a consistent entry.
+# arg = x * B + C (an outer product) and sin(arg). A solver evaluates a
+# trial point and, once it is accepted, takes the Jacobian at that same
+# point, so the sines are computed once. A hit needs bit-equal values,
+# never mere identity: a caller that mutates x or p in place gets a fresh
+# computation. The slot is one tuple, replaced whole, so a reader always
+# sees a consistent entry.
 _sines_memo = None
 
 
@@ -38,23 +37,23 @@ def _sines(x, p):
     memo = _sines_memo
     if memo is not None and _same(memo[1], p) and _same(memo[0], x):
         return memo[2], memo[3]
-    arg = x[..., :, None] * p[..., None, 1::3] + p[..., None, 2::3]
+    arg = x[:, None] * p[1::3] + p[2::3]
     s = np.sin(arg)
     _sines_memo = (np.array(x), np.array(p), arg, s)
     return arg, s
 
 
 def sumsines_eval(x, p):
-    return (_sines(x, p)[1] @ p[..., 0::3, None])[..., 0]
+    return _sines(x, p)[1] @ p[0::3]
 
 
 def sumsines_jac(x, p):
     arg, s = _sines(x, p)
-    ac = p[..., None, 0::3] * np.cos(arg)
-    jac = np.empty(arg.shape[:-1] + p.shape[-1:])
-    jac[..., 0::3] = s
-    jac[..., 1::3] = ac * x[..., :, None]
-    jac[..., 2::3] = ac
+    ac = p[0::3] * np.cos(arg)
+    jac = np.empty((x.shape[0], p.shape[0]))
+    jac[:, 0::3] = s
+    jac[:, 1::3] = ac * x[:, None]
+    jac[:, 2::3] = ac
     return jac
 
 

@@ -99,18 +99,17 @@ class _CliError(SigfitError):
         self.code = code
 
 
-def _load_config_file(path):
-    if not path:
-        return {}
+def _load_json_object(path, what):
+    """The JSON object in a config file or a manifest; what names it in errors."""
     p = Path(path)
     if not p.is_file():
-        raise _CliError(f"config file not found: {p}", EXIT_IO)
+        raise _CliError(f"{what} not found: {p}", EXIT_IO)
     try:
         config = json.loads(p.read_text())
         if not isinstance(config, dict):
             raise ValueError("not a JSON object")
     except ValueError as exc:  # JSONDecodeError is one
-        raise _CliError(f"bad config file {p}: {exc}", EXIT_PARSE) from exc
+        raise _CliError(f"bad {what} {p}: {exc}", EXIT_PARSE) from exc
     return config
 
 
@@ -119,7 +118,7 @@ def _settings(args):
 
     Each value is typed, checked and made canonical wherever it came from.
     """
-    file_config = _load_config_file(args.config)
+    file_config = _load_json_object(args.config, "config file") if args.config else {}
     settings = {}
     for key, default in SETTINGS[args.command].items():
         value = getattr(args, key.replace("-", "_"), None)
@@ -166,6 +165,12 @@ def _check_ranges(command, settings):
         raise _CliError(f"channel {settings['channel']} not in 1..{ingest.N_CHANNELS}", EXIT_PARSE)
     if command == "rank" and settings["segment-size"] < 2:
         raise _CliError(f"segment size {settings['segment-size']} < 2", EXIT_PARSE)
+    if command == "rank":
+        if not settings["candidates"]:
+            raise _CliError("no candidates: pass at least one family", EXIT_PARSE)
+        for name in settings["candidates"].split(","):
+            if name not in selection.TABLE_CANDIDATES and name not in models.FAMILIES:
+                raise _CliError(f"unknown candidate {name!r}", EXIT_PARSE)
     least = 0 if settings.get("family") == "polynomial" else 1  # a polynomial degree may be 0
     if command == "fit" and settings["terms"] < least:
         raise _CliError(f"terms must be >= {least} for {settings['family']}", EXIT_PARSE)
@@ -232,6 +237,7 @@ def cmd_fit(settings, out_dir):
         "chi2": result.chi2,
         "reduced_chi2": result.reduced_chi2,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "termination": result.termination,
         "gof": {
             "sse": report.sse,
@@ -359,12 +365,12 @@ def _run(args):
 def cmd_rerun(args):
     """Replay a manifest: every recorded ``config`` key stands in for its flag."""
     manifest_path = Path(args.manifest)
-    if not manifest_path.is_file():
-        raise _CliError(f"manifest not found: {manifest_path}", EXIT_IO)
-    manifest = json.loads(manifest_path.read_text())
-    command = manifest["command"]
-    if command not in SETTINGS:
+    manifest = _load_json_object(manifest_path, "manifest")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in SETTINGS:
         raise _CliError(f"manifest for unknown command {command!r}", EXIT_PARSE)
+    if not isinstance(manifest.get("config"), dict):
+        raise _CliError(f"bad manifest {manifest_path}: no config object", EXIT_PARSE)
     replay = _build_parser().parse_args([command, "--out", args.out or str(manifest_path.parent)])
     for key, value in manifest["config"].items():
         setattr(replay, key.replace("-", "_"), value)

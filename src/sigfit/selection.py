@@ -10,8 +10,8 @@ construction per segment works on the segment rescaled to [0, 1] by
 ``ChannelSeries.on_unit_interval``, which keeps the fixed forms on a sane
 scale:
 
-* ``sinusoidal``   single-term sum-of-sines, fitted (a channel's segments
-  fit in lockstep, see ``_sinusoidal_references``)
+* ``sinusoidal``   y = a sin(w x) + b cos(w x), fitted over w alone with
+  (a, b) projected out (``_ProjectedSine``)
 * ``parabolic``    y = 2*sqrt(a*x), scale a fitted in closed form
 * any model family tag: fitted per segment by ``solver.fit_series`` with
   one term; the fixed ``exponential`` (y = e^x) and ``sine`` curves have
@@ -101,43 +101,85 @@ def area_between(seg, f_values, g_values):
 _SEGMENT_FIT_CONFIG = solver.SolverConfig(max_iterations=100)
 
 
-def _level_sine(y):
-    return models.SumOfSines(((float(np.mean(y)), 1e-3, np.pi / 2.0),))
+@dataclass(frozen=True, eq=False)
+class _ProjectedSine:
+    """f(x) = a sin(w x) + b cos(w x) on one segment, with w the only parameter.
 
-
-def _sinusoidal_references(segments):
-    """Fitted one-term sine curve on each segment's unit abscissa.
-
-    Segments of 6 or more points start from the spectral guess, shorter
-    ones from a level sine; segments under 3 points keep that start. The
-    fits of equal-length segments run in lockstep, one ``fit_many`` per
-    length, with the same results as one ``solver.fit`` each.
+    At each w, (a, b) is the least-squares fit to ``y``, solved from the
+    2 x 2 normal equations by Cramer's rule: variable projection (Golub &
+    Pereyra, SIAM J. Numer. Anal. 10(2), 1973). The Jacobian is Kaufman's
+    (BIT 15, 1975), the N x 1 column P (dPhi/dw) (a, b), where Phi = [sin(w x),
+    cos(w x)] and P projects onto the complement of its span. It is exact
+    where the residual vanishes, and J'F is the exact half-gradient of chi2
+    at every w. A singular system (w = 0, say) gives non-finite values with
+    no warning, so ``solver.fit`` rejects that trial like any other. The
+    class has the surface ``solver.fit`` reads and no more.
     """
-    units = [seg.on_unit_interval() for seg in segments]
-    fitted = [None] * len(segments)
-    groups = {}  # segment length -> [(segment position, fit problem)]
-    for k, unit in enumerate(units):
-        n = len(unit)
-        if n >= 6:
-            guess = models.initial_guess("sum-of-sines", unit, 1)
-        else:
-            guess = _level_sine(unit.ordinate)
-        if n >= guess.n_params:
-            groups.setdefault(n, []).append((k, solver.FitProblem(unit, guess)))
-        else:
-            fitted[k] = guess
-    for group in groups.values():
-        results = solver.fit_many([problem for _, problem in group], _SEGMENT_FIT_CONFIG)
-        for (k, _), result in zip(group, results):
-            fitted[k] = result.params
-    return [models.evaluate(params, unit.abscissa) for params, unit in zip(fitted, units)]
+
+    w: float
+    y: np.ndarray  # the ordinate that (a, b) fit
+
+    n_params = 1
+
+    def validate(self):
+        """Every w is valid; a singular or non-finite one gives non-finite values."""
+
+    def param_vector(self):
+        return np.array([self.w])
+
+    def with_vector(self, vec):
+        return _ProjectedSine(float(vec[0]), self.y)
+
+    def feasible(self, v):
+        return True
+
+    @staticmethod
+    def _solve(v, s, c, gram):
+        """The least-squares (a, b) of a s + b c = v, from the Gram entries of s and c."""
+        ss, sc, cc, det = gram
+        vs, vc = v @ s, v @ c
+        return (cc * vs - sc * vc) / det, (ss * vc - sc * vs) / det
+
+    def _fit(self, v, x):
+        s, c = np.sin(v[0] * x), np.cos(v[0] * x)
+        ss, sc, cc = s @ s, s @ c, c @ c
+        gram = (ss, sc, cc, ss * cc - sc * sc)
+        return s, c, gram, self._solve(self.y, s, c, gram)
+
+    def eval_vec(self, v, x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s, c, _, (a, b) = self._fit(v, x)
+            return a * s + b * c
+
+    def jac_vec(self, v, x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s, c, gram, (a, b) = self._fit(v, x)
+            d = x * (a * c - b * s)  # dPhi/dw (a, b)
+            p, q = self._solve(d, s, c, gram)
+            return (d - p * s - q * c)[:, None]
+
+
+def _sinusoidal_reference(unit):
+    """The fitted a sin(w x) + b cos(w x) on a segment rescaled to [0, 1].
+
+    w starts at the frequency of the spectral one-term guess on 6 or more
+    points and of the level sine on 3 to 5; a segment under 3 points keeps
+    the level sine, unfitted.
+    """
+    level = models.SumOfSines(((float(np.mean(unit.ordinate)), 1e-3, np.pi / 2.0),))
+    if len(unit) < 3:
+        return models.evaluate(level, unit.abscissa)
+    start = models.initial_guess("sum-of-sines", unit, 1) if len(unit) >= 6 else level
+    model = _ProjectedSine(start.terms[0][1], np.asarray(unit.ordinate, dtype=float))
+    result = solver.fit(solver.FitProblem(unit, model), _SEGMENT_FIT_CONFIG)
+    return models.evaluate(result.params, unit.abscissa)
 
 
 def reference_curve(candidate, seg):
     """Candidate curve values on one segment rescaled to [0, 1]."""
-    if candidate == "sinusoidal":
-        return _sinusoidal_references([seg])[0]
     unit = seg.on_unit_interval()
+    if candidate == "sinusoidal":
+        return _sinusoidal_reference(unit)
     if candidate == "parabolic":
         return models.evaluate(models.Parabola.seed(unit.abscissa, unit.ordinate, 1), unit.abscissa)
     if candidate in models.FAMILIES:
@@ -158,10 +200,7 @@ def rank_families(series, candidates=TABLE_CANDIDATES, segment_size=DEFAULT_SEGM
     results = []
     for candidate in candidates:
         try:
-            if candidate == "sinusoidal":  # the channel's segments fit in lockstep
-                curves = _sinusoidal_references(segments)
-            else:
-                curves = [reference_curve(candidate, seg) for seg in segments]
+            curves = [reference_curve(candidate, seg) for seg in segments]
             per_segment = [area_between(seg, seg.ordinate, g) for seg, g in zip(segments, curves)]
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             log.warning("candidate %r excluded: %s: %s", candidate, type(exc).__name__, exc)

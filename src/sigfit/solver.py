@@ -14,8 +14,11 @@ Trial steps that leave a family's feasible set or produce non-finite
 values are rejected like any other failed step.
 
 The residual convention is F = f - y, so chi2 = F.F is the sum of squared
-errors. Values and Jacobians come from the family's ``eval_vec`` and
-``jac_vec`` alone.
+errors. Values and Jacobians come from the model's ``eval_vec`` and
+``jac_vec`` alone: any object with the family surface that ``fit`` reads
+(``n_params``, ``validate``, ``param_vector``, ``with_vector``,
+``feasible``, ``eval_vec``, ``jac_vec``) can be fitted, as ``selection``'s
+projected sine is. ``fit`` is the one minimization loop.
 
 Index-abscissa fits put column norms of J five orders of magnitude apart
 (amplitude columns O(1), frequency columns O(A*x)), which makes identity
@@ -26,8 +29,7 @@ g = J'F/s. Gauss-Newton solves A z = -g by a rank-revealing SVD, so
 deficiency surfaces as an error code instead of garbage steps; LM solves
 (A + mu*I) z = -g, which is positive definite and takes an LU solve, so
 damping is relative to diag(J'J); the dogleg trust region works on (A, g),
-starting from radius max(1, |scaled initial params|). ``fit`` and
-``fit_many`` take their LM step from the one ``_damped_step``.
+starting from radius max(1, |scaled initial params|).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ SINGULAR_NORMAL_MATRIX = "singular-normal-matrix"
 STEP_TOO_SMALL = "step-too-small"
 STALLED = "stalled"
 
-# fixed schedule, read by fit and fit_many at call time
+# fixed schedule, read by fit at call time
 _CHI2_ABS_TOL = 1e-10
 _CHI2_REL_TOL = 1e-8
 _MU_INITIAL = 1e-3  # relative damping: mu multiplies diag(J'J)
@@ -87,7 +89,7 @@ class FitProblem:
     """A series and the parameters to start from."""
 
     series: object  # anything with .abscissa and .ordinate
-    initial: object  # a models.* parameter set
+    initial: object  # a models.* parameter set, or an object with its fit surface
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,19 @@ class FitResult:
     iterations: int
     termination: str
     trace: tuple = ()  # accepted chi2 per iteration, starting value included
+    evaluations: int = 0  # eval_vec calls: the start and every trial, rejected ones included
 
 
 def _equilibrate(ata, grad):
     """J'J and J'F in the column-equilibrated variables, and the scale s.
 
     Returns J'J / (s s'), J'F / s and s = sqrt(diag(J'J)), with the zero
-    entries of s (zero Jacobian columns) set to 1. Takes one system, (P, P)
-    and (P,), or a stack of them, (B, P, P) and (B, P). A step z in these
+    entries of s (zero Jacobian columns) set to 1. A step z in these
     variables is the step z / s in the parameters.
     """
-    s = np.sqrt(ata.diagonal(axis1=-2, axis2=-1))
+    s = np.sqrt(ata.diagonal())
     s = np.where(s > 0, s, 1.0)
-    return ata / (s[..., :, None] * s[..., None, :]), grad / s, s
+    return ata / (s[:, None] * s[None, :]), grad / s, s
 
 
 def _svd_solve(a, b):
@@ -124,22 +126,18 @@ def _svd_solve(a, b):
 
 
 def _damped_step(ah, gh, mu):
-    """The LM step z of (ah + mu*I) z = -gh, for one system or a stack of them.
+    """The LM step z of (ah + mu*I) z = -gh.
 
-    With mu > 0 the matrix is positive definite and takes an LU solve. A
-    stacked solve fails as a whole when one slice fails, so on LinAlgError
-    each system is solved alone; one that LU cannot solve (mu has underflowed
-    to 0 and ah is singular) takes the SVD solve.
+    With mu > 0 the matrix is positive definite and takes an LU solve. One
+    that LU cannot solve (mu has underflowed to 0 and ah is singular) takes
+    the SVD solve.
     """
-    p = gh.shape[-1]
     damped = ah.copy()
-    damped.reshape(*ah.shape[:-2], -1)[..., :: p + 1] += np.asarray(mu)[..., None]
+    damped.flat[:: len(gh) + 1] += mu
     try:
-        return np.linalg.solve(damped, -gh[..., None])[..., 0]
+        return np.linalg.solve(damped, -gh)
     except np.linalg.LinAlgError:
-        if gh.ndim == 1:
-            return _svd_solve(damped, -gh)[0]
-        return np.array([_damped_step(a, g, m) for a, g, m in zip(ah, gh, mu)])
+        return _svd_solve(damped, -gh)[0]
 
 
 def _dogleg(gn_step, grad, quad, radius):
@@ -174,7 +172,8 @@ def fit(problem, config=None):
     is always recorded. Non-finite model values at the starting point or
     at an accepted point raise NonFiniteValueError (``fit_series`` retries
     from a rescaled start); non-finite or infeasible trial points are simply
-    rejected.
+    rejected. ``evaluations`` counts the model evaluations: the start and
+    every trial, rejected ones included.
     """
     config = config or SolverConfig()
     config.validate()
@@ -189,11 +188,14 @@ def fit(problem, config=None):
     if n < p:
         raise TooFewPointsError(f"{n} points cannot constrain {p} parameters")
     eval_vec, jac_vec, feasible = params.eval_vec, params.jac_vec, params.feasible
+    evaluations = 0
 
     def try_residuals(vec):
         """Residuals, or None for infeasible/non-finite trials."""
+        nonlocal evaluations
         if not feasible(vec):
             return None
+        evaluations += 1
         try:
             f = eval_vec(vec, x)
         except (InvalidParamsError, DomainError):
@@ -209,7 +211,7 @@ def fit(problem, config=None):
     trace = [chi2]
 
     if p == 0:
-        return FitResult(params, chi2, chi2 / n, 0, CONVERGED, tuple(trace))
+        return FitResult(params, chi2, chi2 / n, 0, CONVERGED, tuple(trace), evaluations)
 
     termination = MAX_ITERATIONS
     iterations = 0
@@ -316,174 +318,7 @@ def fit(problem, config=None):
 
     out_params = params.with_vector(vec)
     reduced = chi2 / (n - p) if n > p else np.inf
-    return FitResult(out_params, chi2, reduced, iterations, termination, tuple(trace))
-
-
-def _dots(rows):
-    """Row-wise ``r @ r`` of a (B, N) stack, through the same BLAS dot."""
-    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
-
-
-class _Lockstep:
-    """The unfinished problems of a ``fit_many`` batch, one row each.
-
-    ``ah``, ``gh`` and ``scale`` hold the row's equilibrated J'J and J'F
-    and its scale s (``_equilibrate``) at the row's current point.
-    ``trace`` holds the row's accepted chi2 values, the one after ``k``
-    accepted iterations in column ``k``: it is the result's trace and the
-    stall window at once.
-    """
-
-    __slots__ = (
-        "index", "x", "y", "vec", "fvec", "chi2", "mu", "small", "iterations",
-        "ah", "gh", "scale", "trace",
-    )
-
-    def take(self, keep):
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name)[keep])
-
-
-def fit_many(problems, config=None):
-    """Levenberg-Marquardt over many sum-of-sines problems in lockstep.
-
-    The problems share one point count and one term count; abscissa,
-    ordinate and start are each problem's own. One round takes one
-    damped trial step for every unfinished problem: the family's
-    ``eval_vec`` and ``jac_vec`` take the stacked rows, and the Jacobians
-    (B, N, P), normal matrices (B, P, P) and solves are stacked, while mu, the
-    counters, the stall window and the termination stay per problem.
-    Finished problems leave the batch. This pays off when per-call numpy
-    overhead dominates, as on short segments; large fits are bound by their
-    sines and gain nothing, and a batch of one runs ``fit`` itself.
-
-    Each result equals ``fit(problem, config)`` field for field, trace
-    included. Another algorithm or family, or mixed shapes, raise up front.
-    Any other failure (an invalid start, too few points, a non-finite model
-    or Jacobian) is answered by a plain loop of ``fit``, raising what it raises.
-    """
-    config = config or SolverConfig()
-    config.validate()
-    if config.algorithm != LEVENBERG_MARQUARDT:
-        raise InvalidParamsError(
-            f"fit_many runs {LEVENBERG_MARQUARDT} only, not {config.algorithm!r}"
-        )
-    problems = list(problems)
-    for problem in problems:  # the one family whose kernels take stacked rows
-        family = problem.initial.family
-        if family != models.SumOfSines.family:
-            raise InvalidParamsError(f"fit_many fits sum-of-sines only, not {family!r}")
-    if len(problems) >= 2:  # with fewer, one round costs more than a fit step
-        n = len(problems[0].series.ordinate)
-        p = problems[0].initial.n_params
-        if any((len(q.series.ordinate), q.initial.n_params) != (n, p) for q in problems):
-            raise LengthMismatchError("fit_many needs one point count and one term count")
-        results = _lockstep(problems, config, n, p)
-        if results is not None:
-            return results
-    return [fit(problem, config) for problem in problems]
-
-
-def _lockstep(problems, config, n, p):
-    """The results of ``fit_many``, or None where a problem would fail."""
-    try:
-        for problem in problems:
-            problem.initial.validate()
-    except InvalidParamsError:
-        return None
-    if n < p or any(len(q.series.abscissa) != n for q in problems):
-        return None
-    window = _STALL_WINDOW
-    eval_vec, jac_vec = problems[0].initial.eval_vec, problems[0].initial.jac_vec
-    b = _Lockstep()
-    b.index = np.arange(len(problems))
-    b.x = np.array([np.asarray(q.series.abscissa, dtype=float) for q in problems]).reshape(-1, n)
-    b.y = np.array([np.asarray(q.series.ordinate, dtype=float) for q in problems]).reshape(-1, n)
-    b.vec = np.array([q.initial.param_vector() for q in problems]).reshape(-1, p)
-    b.fvec = eval_vec(b.vec, b.x) - b.y
-    if not np.isfinite(b.fvec).all():
-        return None
-    b.chi2 = _dots(b.fvec)
-    b.mu = np.full(len(problems), _MU_INITIAL)
-    b.small = np.zeros(len(problems), dtype=int)
-    b.iterations = np.zeros(len(problems), dtype=int)
-    # the stall check reads column `iterations - window` from the first round
-    # on (and uses it from iteration `window` on), so that column must exist
-    b.trace = np.zeros((len(problems), max(config.max_iterations, window) + 1))
-    b.trace[:, 0] = b.chi2
-    results = [None] * len(problems)
-
-    def finish(mask, termination):
-        for k in np.flatnonzero(mask).tolist():
-            i = int(b.index[k])
-            chi2 = float(b.chi2[k])
-            reduced = chi2 / (n - p) if n > p else np.inf
-            params = problems[i].initial.with_vector(b.vec[k])
-            iterations = int(b.iterations[k])
-            trace = tuple(b.trace[k, : iterations + 1].tolist())
-            results[i] = FitResult(params, chi2, reduced, iterations, termination, trace)
-
-    moved = True
-    while b.index.size:
-        # each row starts, or resumes, an iteration: the Jacobian at its
-        # current point is the one fit took there. A rejected trial leaves
-        # the point unchanged, so after a round with no accepted step the
-        # equilibrated system is kept; after any other round the whole stack
-        # takes a new one (on 3-parameter segments, picking out the rows
-        # that moved costs more than the rows it saves)
-        if moved:
-            jac = jac_vec(b.vec, b.x)
-            if not np.isfinite(jac).all():
-                return None
-            jac_t = jac.transpose(0, 2, 1)
-            grad = (jac_t @ b.fvec[:, :, None])[:, :, 0]  # half the chi2 gradient
-            b.ah, b.gh, b.scale = _equilibrate(jac_t @ jac, grad)
-            # chi2 >= 0, so chi2.all() says no chi2 is zero
-            if not (b.chi2.all() and grad.any(axis=1).all()):
-                going = (b.chi2 != 0.0) & grad.any(axis=1)
-                finish(~going, CONVERGED)
-                b.take(going)
-                if not b.index.size:
-                    break
-        rows = np.arange(b.index.size)
-        d = _damped_step(b.ah, b.gh, b.mu) / b.scale
-        stagnant = np.sqrt(_dots(d)) < _MIN_STEP_NORM  # zero-change iterations
-        trial = b.vec + d
-        ft = eval_vec(trial, b.x) - b.y
-        finite = np.isfinite(ft).all(axis=1)
-        if finite.all():
-            c = _dots(ft)
-        else:
-            c = np.full(len(finite), np.inf)
-            c[finite] = _dots(ft[finite])
-        accept = ~stagnant & (c <= b.chi2)
-        advanced = stagnant | accept
-        reject = ~advanced
-        b.mu = np.where(accept, b.mu * _MU_DECREASE, np.where(reject, b.mu * _MU_INCREASE, b.mu))
-        b.vec = np.where(accept[:, None], trial, b.vec)
-        b.fvec = np.where(accept[:, None], ft, b.fvec)
-        moved = accept.any()
-        new_chi2 = np.where(accept, c, b.chi2)
-        small_step = b.chi2 - new_chi2 <= _CHI2_ABS_TOL + _CHI2_REL_TOL * new_chi2
-        b.chi2 = new_chi2
-        b.iterations += advanced
-        b.small = np.where(advanced, np.where(small_step, b.small + 1, 0), b.small)
-        # a row that did not advance rewrites its latest value in place
-        b.trace[rows, b.iterations] = new_chi2
-        # only a row that advanced this round can reach any of the three
-        # counts: a row leaves the batch in the round it does
-        converged = b.small >= 2
-        before = b.trace[rows, b.iterations - window]  # read only where iterations >= window
-        stalled = (b.iterations >= window) & (before - new_chi2 <= _STALL_REL_TOL * new_chi2)
-        stuck = reject & (b.mu > _MU_CEILING)
-        done = converged | stalled | stuck | (b.iterations >= config.max_iterations)
-        if done.any():
-            finish(converged, CONVERGED)
-            finish(stalled & ~converged, STALLED)
-            finish(done & ~converged & ~stalled & ~stuck, MAX_ITERATIONS)
-            finish(stuck, STEP_TOO_SMALL)
-            b.take(~done)
-    return results
+    return FitResult(out_params, chi2, reduced, iterations, termination, tuple(trace), evaluations)
 
 
 def fit_series(series, family, n_terms=1, config=None):

@@ -36,6 +36,7 @@ class TestFitCommand:
         assert "r_squared" in payload["gof"]
         assert payload["algorithm"] == "levenberg-marquardt"
         assert payload["termination"] in ("converged", "stalled", "max-iterations")
+        assert payload["evaluations"] >= payload["iterations"] + 1  # the start included
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "fit"
         assert str(tmp_path / "fit.json") in manifest["outputs"]
@@ -256,6 +257,21 @@ class TestRerun:
         manifest.write_text(json.dumps({"command": "nope", "config": {}}))
         assert run_cli(["rerun", manifest]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps(["rank", {}]),
+        json.dumps({"config": {}}),
+        json.dumps({"command": "rank"}),
+        json.dumps({"command": "rank", "config": ["channel", 1]}),
+    ], ids=["not-json", "a-list", "no-command", "no-config", "config-not-an-object"])
+    def test_a_malformed_manifest_exits_2_with_one_error_line(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert run_cli(["rerun", manifest, "--out", tmp_path / "out"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSettings:
     def test_preprocess_defaults_are_the_library_defaults(self):
@@ -296,6 +312,9 @@ class TestSettings:
         ("eval", ["--enroll", "0"]),
         ("preprocess", ["--terms", "1", "--timestamp-degree", "3"]),
         ("eval", ["--per-segment-fit", "--timestamp-degree", "3"]),
+        ("rank", ["--candidates", "nope"]),
+        ("rank", ["--candidates", "sinusoidal,nope"]),
+        ("rank", ["--candidates", ""]),
     ])
     def test_out_of_range_values_exit_2_before_fitting(self, data_dir, tmp_path, command, flags):
         if command in ("fit", "rank"):

@@ -201,27 +201,6 @@ class TestSumOfSinesMemo:
         )
 
 
-
-@pytest.mark.parametrize(
-    "n_terms,n_points,batch", [(1, 20, 13), (1, 3, 1), (11, 250, 6), (2, 7, 4)]
-)
-def test_stacked_sumsines_kernels_equal_a_loop_of_1d_calls(n_terms, n_points, batch):
-    # each slice of a stacked call is bit-identical to the 1-D call on it
-    rng = np.random.default_rng(n_terms * 1000 + n_points)
-    x = np.sort(rng.uniform(0.0, 300.0, (batch, n_points)), axis=1)
-    p = rng.normal(0.0, 2.0, (batch, 3 * n_terms))
-    f = _kernels.sumsines_eval(x, p)
-    jac = _kernels.sumsines_jac(x, p)
-    assert f.shape == (batch, n_points) and jac.shape == (batch, n_points, 3 * n_terms)
-    for k in range(batch):
-        _kernels._sines_memo = None  # each 1-D reference computes its own sines
-        assert _kernels.sumsines_eval(x[k], p[k]).tobytes() == f[k].tobytes()
-        _kernels._sines_memo = None
-        assert _kernels.sumsines_jac(x[k], p[k]).tobytes() == jac[k].tobytes()
-    x3, p3 = x.reshape(1, batch, n_points), p.reshape(1, batch, -1)  # more leading axes
-    assert _kernels.sumsines_eval(x3, p3).tobytes() == f.tobytes()
-    assert _kernels.sumsines_jac(x3, p3).tobytes() == jac.tobytes()
-
 _FEASIBILITY_CASES = [
     # (params, feasible vector, infeasible vector or None where none exists)
     (models.SumOfSines(((1.0, 0.5, 0.0),)), [2.0, 0.3, 1.0], []),

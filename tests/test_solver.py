@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sigfit import _kernels, models, solver
 from sigfit.errors import (
@@ -90,29 +89,20 @@ class TestScaledNormalSystem:
     # every algorithm solves in the variables z = s*d, s = sqrt(diag(J'J))
     def test_the_damped_step_is_marquardts(self):
         rng = np.random.default_rng(21)
-        jac = rng.normal(size=(3, 30, 5)) * np.array([1.0, 1e3, 1e-2, 10.0, 1e5])
-        fvec = rng.normal(size=(3, 30))
-        mu = np.array([1e-3, 1.0, 1e3])
-        ata = jac.transpose(0, 2, 1) @ jac
-        grad = (jac.transpose(0, 2, 1) @ fvec[:, :, None])[:, :, 0]
-        ah, gh, s = solver._equilibrate(ata, grad)
-        stacked = solver._damped_step(ah, gh, mu) / s
-        for k in range(3):
-            marquardt = ata[k] + mu[k] * np.diag(ata[k].diagonal())
-            expected = np.linalg.solve(marquardt, -grad[k])
-            one = solver._equilibrate(ata[k], grad[k])
-            np.testing.assert_allclose(solver._damped_step(one[0], one[1], mu[k]) / one[2],
-                                       expected, rtol=1e-10)
-            np.testing.assert_allclose(stacked[k], expected, rtol=1e-10)
+        for mu in (1e-3, 1.0, 1e3):
+            jac = rng.normal(size=(30, 5)) * np.array([1.0, 1e3, 1e-2, 10.0, 1e5])
+            fvec = rng.normal(size=30)
+            ata, grad = jac.T @ jac, jac.T @ fvec
+            expected = np.linalg.solve(ata + mu * np.diag(ata.diagonal()), -grad)
+            ah, gh, s = solver._equilibrate(ata, grad)
+            np.testing.assert_allclose(solver._damped_step(ah, gh, mu) / s, expected, rtol=1e-10)
 
-    def test_a_singular_slice_is_solved_alone(self):
-        # mu = 0 leaves the second system singular, so the stacked LU fails
-        ah = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])])
-        gh = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
+    def test_a_singular_system_takes_the_svd_solve(self):
+        # mu = 0 leaves the system singular, so its LU fails
+        ah, gh = np.diag([1.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(ah, gh[:, :, None])
-        step = solver._damped_step(ah, gh, np.zeros(2))
-        np.testing.assert_allclose(step, [[-1.0, -2.0, -3.0], [-1.0, -2.0, 0.0]], atol=1e-15)
+            np.linalg.solve(ah, gh)
+        np.testing.assert_allclose(solver._damped_step(ah, gh, 0.0), [-1.0, -2.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("algorithm", [solver.LEVENBERG_MARQUARDT, solver.TRUST_REGION])
     def test_zero_jacobian_columns_take_a_zero_step(self, algorithm):
@@ -307,6 +297,28 @@ class TestFit:
         assert np.all(deltas <= solver._CHI2_ABS_TOL + solver._CHI2_REL_TOL * tail[1:])
 
 
+class TestEvaluations:
+    @pytest.mark.parametrize("algorithm", solver.ALGORITHMS)
+    def test_every_model_evaluation_is_counted(self, algorithm, monkeypatch):
+        calls = []
+        eval_vec = models.SumOfSines.eval_vec
+
+        def counting(self, v, x):
+            calls.append(v)
+            return eval_vec(self, v, x)
+
+        monkeypatch.setattr(models.SumOfSines, "eval_vec", counting)
+        result = solver.fit(_slow_tail_problem(), solver.SolverConfig(algorithm=algorithm))
+        assert result.evaluations == len(calls)
+        # the start and one trial per accepted iteration, and rejected trials besides
+        assert result.evaluations > result.iterations + 1
+
+    def test_a_fit_without_parameters_evaluates_once(self):
+        x = np.linspace(0.0, 1.0, 10)
+        result = solver.fit(solver.FitProblem(make_series(x, np.sin(x)), models.Sine()))
+        assert result.evaluations == 1
+
+
 def _slow_tail_problem():
     """Three sines on a random walk: every algorithm crawls long before the cap."""
     x = np.arange(72.0)
@@ -376,106 +388,6 @@ def _same_fit(a, b):
         and (a.chi2, a.reduced_chi2, a.iterations) == (b.chi2, b.reduced_chi2, b.iterations)
         and (a.termination, a.trace) == (b.termination, b.trace)
     )
-
-
-def _sine_problems(seed, n_problems, n_points):
-    """Random one-term problems; some start at the truth (zero or tiny steps)."""
-    rng = np.random.default_rng(seed)
-    problems = []
-    for _ in range(n_problems):
-        x = np.linspace(0.0, 1.0, n_points)
-        if rng.random() < 0.5:
-            x = np.sort(rng.uniform(0.0, 1.0, n_points))
-        true = models.SumOfSines(((rng.uniform(-2, 2), rng.uniform(0.5, 9), rng.uniform(-3, 3)),))
-        noise = rng.choice([0.0, 1e-13, 0.05, 1.0])
-        y = models.evaluate(true, x) + rng.normal(0.0, noise, n_points)
-        start = true
-        if rng.random() < 0.7:  # a zero amplitude leaves two Jacobian columns zero
-            amplitude = rng.choice([0.0, rng.uniform(-3, 3)], p=[0.2, 0.8])
-            start = models.SumOfSines(((amplitude, rng.uniform(0.01, 12), rng.uniform(-3, 3)),))
-        problems.append(solver.FitProblem(make_series(x, y), start))
-    return problems
-
-
-class TestFitMany:
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_problems=st.integers(2, 9),
-        n_points=st.integers(3, 25),
-        max_iterations=st.integers(1, 60),
-        mu_increase=st.sampled_from([10.0, 1e40]),  # 1e40: one rejection ends a fit
-    )
-    def test_equals_a_loop_of_fit(self, seed, n_problems, n_points, max_iterations, mu_increase):
-        config = solver.SolverConfig(max_iterations=max_iterations)
-        problems = _sine_problems(seed, n_problems, n_points)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_MU_INCREASE", mu_increase)
-            expected = [solver.fit(problem, config) for problem in problems]
-            got = solver.fit_many(problems, config)
-        assert len(got) == len(expected)
-        assert all(_same_fit(a, b) for a, b in zip(got, expected))
-
-    def test_batches_with_mixed_outcomes(self, monkeypatch):
-        monkeypatch.setattr(solver, "_MU_INCREASE", 1e40)  # one rejection ends a fit
-        config = solver.SolverConfig(max_iterations=8)
-        problems = _sine_problems(0, 40, 20)
-        expected = [solver.fit(problem, config) for problem in problems]
-        assert {r.termination for r in expected} == {
-            solver.CONVERGED,
-            solver.MAX_ITERATIONS,
-            solver.STEP_TOO_SMALL,
-        }
-        assert all(_same_fit(a, b) for a, b in zip(solver.fit_many(problems, config), expected))
-
-    def test_batches_with_stalled_rows(self, monkeypatch):
-        monkeypatch.setattr(solver, "_STALL_WINDOW", 3)
-        config = solver.SolverConfig(max_iterations=30)
-        problems = _sine_problems(0, 40, 20)
-        expected = [solver.fit(problem, config) for problem in problems]
-        assert {r.termination for r in expected} == {
-            solver.CONVERGED,
-            solver.STALLED,
-            solver.MAX_ITERATIONS,
-        }
-        assert all(_same_fit(a, b) for a, b in zip(solver.fit_many(problems, config), expected))
-
-    @pytest.mark.parametrize(
-        "start,x_end",
-        [((np.inf, 1.0, 0.0), 1.0), ((1e300, 1.0, 0.0), 1e10)],
-        ids=["non-finite-start", "non-finite-jacobian"],
-    )
-    def test_failure_raises_what_fit_raises(self, start, x_end):
-        x = np.linspace(0.0, x_end, 12)
-        bad = solver.FitProblem(make_series(x, np.zeros(12)), models.SumOfSines((start,)))
-        good = _sine_problems(3, 2, 12)
-        with pytest.raises(NonFiniteValueError) as expected, np.errstate(all="ignore"):
-            solver.fit(bad)
-        with pytest.raises(NonFiniteValueError) as got, np.errstate(all="ignore"):
-            solver.fit_many([good[0], bad, good[1]])
-        assert str(got.value) == str(expected.value)
-
-    def test_a_length_mismatch_raises_what_fit_raises(self):
-        x = np.arange(12.0)
-        bad = solver.FitProblem(
-            SimpleNamespace(abscissa=x[:11], ordinate=np.sin(x)), models.SumOfSines(((1, 1, 0),))
-        )
-        with pytest.raises(LengthMismatchError):
-            solver.fit_many([_sine_problems(5, 1, 12)[0], bad])
-
-    def test_refuses_what_it_cannot_batch(self):
-        problems = _sine_problems(4, 2, 10)
-        with pytest.raises(InvalidParamsError):
-            solver.fit_many(problems, solver.SolverConfig(algorithm=solver.GAUSS_NEWTON))
-        x = np.arange(10.0)
-        line = solver.FitProblem(make_series(x, x), models.Polynomial((1.0, 0.0)))
-        with pytest.raises(InvalidParamsError):
-            solver.fit_many([problems[0], line])
-        with pytest.raises(LengthMismatchError):
-            solver.fit_many(problems + _sine_problems(4, 1, 11))
-        with pytest.raises(TooFewPointsError):
-            solver.fit_many(_sine_problems(4, 2, 2))
-        assert solver.fit_many([]) == []
 
 
 class TestSolverConfig:

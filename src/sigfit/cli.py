@@ -168,9 +168,12 @@ def _check_ranges(command, settings):
     if command == "rank":
         if not settings["candidates"]:
             raise _CliError("no candidates: pass at least one family", EXIT_PARSE)
-        for name in settings["candidates"].split(","):
+        names = settings["candidates"].split(",")
+        for name in names:
             if name not in selection.TABLE_CANDIDATES and name not in models.FAMILIES:
                 raise _CliError(f"unknown candidate {name!r}", EXIT_PARSE)
+            if names.count(name) > 1:
+                raise _CliError(f"candidate {name!r} given more than once", EXIT_PARSE)
     least = 0 if settings.get("family") == "polynomial" else 1  # a polynomial degree may be 0
     if command == "fit" and settings["terms"] < least:
         raise _CliError(f"terms must be >= {least} for {settings['family']}", EXIT_PARSE)

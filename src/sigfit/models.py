@@ -8,6 +8,12 @@ form and the ``rescaled()`` retry start. ``evaluate``, ``jacobian``,
 ``initial_guess`` and ``canonicalize`` make one method call, so solver and
 pipeline code never special-case model types.
 
+Each family states each decision once: its invariant only in
+``feasible`` (``validate`` applies it to the family's own vector), and,
+for the scalar-field families, its parameter layout only in the order of
+its dataclass fields. The nested families (sum-of-sines, Fourier,
+polynomial) flatten their terms themselves.
+
 Canonical parameter orders (frozen; feature-vector layout depends on them):
 
 * SumOfSines          A_1, B_1, C_1, ..., A_n, B_n, C_n
@@ -23,7 +29,7 @@ Canonical parameter orders (frozen; feature-vector layout depends on them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,16 +38,27 @@ from .errors import DomainError, InvalidParamsError, TooFewPointsError
 
 
 class _Family:
-    """What every family shares: rebuild from a flat vector, feasibility,
-    canonical form and the rescaled retry start.
+    """What every family shares: the scalar-field layout, the invariant
+    check, canonical form and the rescaled retry start.
 
-    Each family adds ``eval_vec(v, x)`` and ``jac_vec(v, x)``: values and
-    Jacobian at a raw parameter vector ``v`` in canonical order, without a
-    dataclass rebuild, and the classmethod ``seed(x, y, n_terms)``: its
-    starting point for a fit to ``y`` over ``x``. ``feasible(v)`` is the
-    cheap invariant check the solver uses to reject trial steps without
-    exceptions; it is true exactly when ``with_vector(v).validate()`` passes.
+    The defaults lay the parameters out as the dataclass fields, in
+    declaration order; the nested families override ``n_params``,
+    ``param_vector`` and ``from_vector``. Each family adds
+    ``eval_vec(v, x)`` and ``jac_vec(v, x)``: values and Jacobian at a raw
+    parameter vector ``v`` in canonical order, without a dataclass rebuild,
+    and the classmethod ``seed(x, y, n_terms)``: its starting point for a
+    fit to ``y`` over ``x``. ``feasible(v)`` is the family's one statement
+    of its invariant, which ``rule`` puts in words: the solver uses it to
+    reject trial steps without exceptions, and ``validate`` applies it to
+    ``param_vector()``.
     """
+
+    @property
+    def n_params(self):
+        return len(fields(self))
+
+    def param_vector(self):
+        return np.asarray([getattr(self, f.name) for f in fields(self)], dtype=float)
 
     @classmethod
     def from_vector(cls, vec):
@@ -50,15 +67,13 @@ class _Family:
     def with_vector(self, vec):
         return self.from_vector(vec)
 
-    def validate(self):
-        """Raise InvalidParamsError on a broken invariant; none by default."""
-
     def feasible(self, v):
-        try:
-            self.with_vector(v).validate()
-        except InvalidParamsError:
-            return False
         return True
+
+    def validate(self):
+        """Raise InvalidParamsError unless the family's own vector is feasible."""
+        if not self.feasible(self.param_vector()):
+            raise InvalidParamsError(f"{self.family} requires {self.rule}")
 
     def canonical(self):
         """The deterministic representative of equivalent parameter sets."""
@@ -69,6 +84,13 @@ class _Family:
         return self.with_vector(0.5 * self.param_vector())
 
 
+def _flat_terms(terms, width, family):
+    """The terms laid end to end; a flat vector cannot show a term of the wrong width."""
+    if any(len(t) != width for t in terms):
+        raise InvalidParamsError(f"each {family} term has {width} values")
+    return [v for t in terms for v in t]
+
+
 @dataclass(frozen=True)
 class SumOfSines(_Family):
     """f(x) = sum_i A_i * sin(B_i * x + C_i)."""
@@ -76,28 +98,19 @@ class SumOfSines(_Family):
     terms: tuple  # of (amplitude, angular_frequency, phase)
 
     family = "sum-of-sines"
-
-    @property
-    def n(self):
-        return len(self.terms)
+    rule = "at least one (amplitude, frequency, phase) term"
 
     @property
     def n_params(self):
         return 3 * len(self.terms)
 
     def param_vector(self):
-        return np.asarray([v for t in self.terms for v in t], dtype=float)
+        return np.asarray(_flat_terms(self.terms, 3, self.family), dtype=float)
 
     @classmethod
     def from_vector(cls, vec):
         vec = np.asarray(vec, dtype=float)
         return cls(tuple((vec[3 * i], vec[3 * i + 1], vec[3 * i + 2]) for i in range(len(vec) // 3)))
-
-    def validate(self):
-        if len(self.terms) < 1:
-            raise InvalidParamsError("sum-of-sines needs at least one term")
-        if any(len(t) != 3 for t in self.terms):
-            raise InvalidParamsError("each sum-of-sines term is (amplitude, frequency, phase)")
 
     def feasible(self, v):
         return v.size >= 3
@@ -120,42 +133,42 @@ class SumOfSines(_Family):
         """
         _require_points(y, 3 * n_terms)
         span = max(float(x[-1] - x[0]), 1.0)
-        b_level = 0.3 / span
-        freqs = [b_level]
-        design = _sine_design(x, freqs)  # current with freqs throughout, as is coef
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        residual = y - design @ coef
+        columns = {}  # w -> (sin(w x), cos(w x)), built once per frequency
+
+        def refit(freqs):
+            """Least-squares sin/cos coefficients of y on ``freqs``, and the residual."""
+            for w in freqs:
+                if w not in columns:
+                    columns[w] = (np.sin(w * x), np.cos(w * x))
+            design = np.column_stack([col for w in freqs for col in columns[w]])
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            return coef, y - design @ coef
+
+        freqs = [0.3 / span]
+        coef, residual = refit(freqs)  # current with freqs throughout
         want = max(n_terms, 2) if n_terms == 1 else n_terms
         while len(freqs) < want:
             w = _dominant_frequency(x, residual)
             if w is None:
                 break
             freqs.append(w)
-            design = _sine_design(x, freqs)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            residual = y - design @ coef
+            coef, residual = refit(freqs)
         # cyclic reassignment: re-pick each tone against the others' residual,
         # so a slot wasted on leakage moves to a genuinely missed tone
         for _ in range(2 if len(freqs) > 2 else 0):
             for i in range(1, len(freqs)):
-                others = _sine_design(x, freqs[:i] + freqs[i + 1 :])
-                coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
-                w = _dominant_frequency(x, y - others @ coef_o)
+                w = _dominant_frequency(x, refit(freqs[:i] + freqs[i + 1 :])[1])
                 if w is not None:
                     freqs[i] = w
-            design = _sine_design(x, freqs)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            coef, residual = refit(freqs)
         if len(freqs) > 1:
             # the level slot must defend its place: on level-free data it is
             # better spent on one more tone
-            others = _sine_design(x, freqs[1:])
-            coef_o, *_ = np.linalg.lstsq(others, y, rcond=None)
-            w = _dominant_frequency(x, y - others @ coef_o)
+            w = _dominant_frequency(x, refit(freqs[1:])[1])
             if w is not None:
                 challenger = [w] + freqs[1:]
-                design_c = _sine_design(x, challenger)
-                coef_c, *_ = np.linalg.lstsq(design_c, y, rcond=None)
-                if np.sum((y - design_c @ coef_c) ** 2) < np.sum((y - design @ coef) ** 2):
+                coef_c, residual_c = refit(challenger)
+                if np.sum(residual_c**2) < np.sum(residual**2):
                     freqs, coef = challenger, coef_c
         terms = [
             (math.hypot(float(coef[2 * i]), float(coef[2 * i + 1])),
@@ -207,17 +220,14 @@ class Fourier(_Family):
     omega: float
 
     family = "fourier"
-
-    @property
-    def n(self):
-        return len(self.terms)
+    rule = "a0, omega and at least one (a_i, b_i) term"
 
     @property
     def n_params(self):
         return 2 * len(self.terms) + 2
 
     def param_vector(self):
-        flat = [self.a0] + [v for t in self.terms for v in t] + [self.omega]
+        flat = [self.a0] + _flat_terms(self.terms, 2, self.family) + [self.omega]
         return np.asarray(flat, dtype=float)
 
     @classmethod
@@ -226,12 +236,6 @@ class Fourier(_Family):
         n = (len(vec) - 2) // 2
         terms = tuple((vec[2 * i + 1], vec[2 * i + 2]) for i in range(n))
         return cls(float(vec[0]), terms, float(vec[-1]))
-
-    def validate(self):
-        if len(self.terms) < 1:
-            raise InvalidParamsError("fourier needs at least one term")
-        if any(len(t) != 2 for t in self.terms):
-            raise InvalidParamsError("each fourier term is (a_i, b_i)")
 
     def feasible(self, v):
         return v.size >= 4
@@ -270,10 +274,7 @@ class Polynomial(_Family):
     coeffs: tuple
 
     family = "polynomial"
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
+    rule = "at least one coefficient, the leading one nonzero above degree 0"
 
     @property
     def n_params(self):
@@ -285,12 +286,6 @@ class Polynomial(_Family):
     @classmethod
     def from_vector(cls, vec):
         return cls(tuple(float(v) for v in vec))
-
-    def validate(self):
-        if len(self.coeffs) < 1:
-            raise InvalidParamsError("polynomial needs at least one coefficient")
-        if len(self.coeffs) > 1 and self.coeffs[0] == 0:
-            raise InvalidParamsError("leading coefficient must be nonzero for degree > 0")
 
     def feasible(self, v):
         return v.size == 1 or v.size > 1 and v[0] != 0.0
@@ -322,14 +317,7 @@ class Weibull(_Family):
     amp: float = 1.0
 
     family = "weibull"
-    n_params = 4
-
-    def param_vector(self):
-        return np.asarray([self.gamma, self.mu, self.alpha, self.amp], dtype=float)
-
-    def validate(self):
-        if not (self.gamma > 0 and self.alpha > 0):
-            raise InvalidParamsError("weibull requires gamma > 0 and alpha > 0")
+    rule = "gamma > 0 and alpha > 0"
 
     def feasible(self, v):
         return v[0] > 0.0 and v[2] > 0.0
@@ -379,14 +367,10 @@ class Weibull2(_Family):
     lam: float
 
     family = "weibull2"
-    n_params = 2
+    rule = "beta > 0 and lam > 0"
 
-    def param_vector(self):
-        return np.asarray([self.beta, self.lam], dtype=float)
-
-    def validate(self):
-        if not (self.beta > 0 and self.lam > 0):
-            raise InvalidParamsError("weibull2 requires beta > 0 and lam > 0")
+    def feasible(self, v):
+        return v[0] > 0.0 and v[1] > 0.0
 
     @staticmethod
     def _scaled(v, x):
@@ -426,10 +410,6 @@ class Parabola(_Family):
     a: float
 
     family = "parabola"
-    n_params = 1
-
-    def param_vector(self):
-        return np.asarray([self.a], dtype=float)
 
     @staticmethod
     def _arg(v, x):
@@ -466,10 +446,6 @@ class ScaledExponential(_Family):
     rate: float
 
     family = "scaled-exponential"
-    n_params = 2
-
-    def param_vector(self):
-        return np.asarray([self.scale, self.rate], dtype=float)
 
     def eval_vec(self, v, x):
         with np.errstate(over="ignore"):
@@ -494,14 +470,9 @@ class ScaledExponential(_Family):
 class _FixedCurve(_Family):
     """A reference curve with nothing to fit."""
 
-    n_params = 0
-
     @classmethod
     def seed(cls, x, y, n_terms):
         return cls()
-
-    def param_vector(self):
-        return np.zeros(0)
 
     def jac_vec(self, v, x):
         return np.zeros((x.size, 0))
@@ -599,13 +570,6 @@ def _dominant_frequency(x, residual):
     bin_width = 2.0 * np.pi / (n * dx)
     w = _projection_peak(x, residual, k * bin_width, 0.6 * bin_width)
     return _projection_peak(x, residual, w, 0.06 * bin_width)
-
-
-def _sine_design(x, freqs):
-    cols = []
-    for w in freqs:
-        cols.extend([np.sin(w * x), np.cos(w * x)])
-    return np.column_stack(cols)
 
 
 def _family_class(family):

@@ -92,6 +92,7 @@ class ChannelFit:
     r_squared: float
     rmse: float
     iterations: int
+    evaluations: int  # model evaluations, summed over the parts of a per-segment fit
     error: str | None = None
 
     def to_dict(self):
@@ -102,6 +103,7 @@ class ChannelFit:
             "r_squared": None if np.isnan(self.r_squared) else self.r_squared,
             "rmse": None if np.isnan(self.rmse) else self.rmse,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
             "error": self.error,
         }
 
@@ -139,7 +141,9 @@ def _whole_channel_block(series, channel, config):
     block = np.zeros(config.block_width)
     block[: len(coeffs)] = coeffs
     r2, rmse = _gof_safe(series, params)
-    info = ChannelFit(channel, family, result.termination, r2, rmse, result.iterations)
+    info = ChannelFit(
+        channel, family, result.termination, r2, rmse, result.iterations, result.evaluations
+    )
     return block, info
 
 
@@ -147,26 +151,29 @@ def _segmented_block(series, channel, config):
     x = np.asarray(series.abscissa, dtype=float)
     y = np.asarray(series.ordinate, dtype=float)
     family, n_terms = config.channel_model(channel)
+    if len(y) < 2 * config.n_segments:  # the shortest part has len(y) // n_segments points
+        raise SigfitError(
+            f"{len(y)} points cannot be split into {config.n_segments} parts of >= 2"
+        )
     parts = np.array_split(np.arange(len(y)), config.n_segments)
     block = np.zeros(config.block_width)
     predictions = np.empty_like(y)
-    iterations = 0
+    iterations = evaluations = 0
     termination = solver.CONVERGED
     for k, idx in enumerate(parts):
-        if len(idx) < 2:
-            raise SigfitError(
-                f"{len(y)} points cannot be split into {config.n_segments} parts of >= 2"
-            )
         unit = ChannelSeries(x[idx], y[idx]).on_unit_interval()
         result = solver.fit_series(unit, family, n_terms, config.solver)
         coeffs = models.canonicalize(result.params).param_vector()
         block[3 * k : 3 * k + len(coeffs)] = coeffs
         predictions[idx] = models.evaluate(result.params, unit.abscissa)
         iterations += result.iterations
+        evaluations += result.evaluations
         if result.termination != solver.CONVERGED:
             termination = result.termination
     _, _, r2, rmse = gof.fit_statistics(y, predictions, 3 * config.n_segments)
-    info = ChannelFit(channel, config.channel_family(channel), termination, r2, rmse, iterations)
+    info = ChannelFit(
+        channel, config.channel_family(channel), termination, r2, rmse, iterations, evaluations
+    )
     return block, info
 
 
@@ -188,7 +195,7 @@ def preprocess_sample(sample, config=None):
         except Exception as exc:
             block = np.zeros(config.block_width)
             info = ChannelFit(
-                channel, family, "failed", np.nan, np.nan, 0, error=f"{type(exc).__name__}: {exc}"
+                channel, family, "failed", np.nan, np.nan, 0, 0, f"{type(exc).__name__}: {exc}"
             )
         blocks.append(block)
         infos.append(info)

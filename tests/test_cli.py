@@ -315,6 +315,7 @@ class TestSettings:
         ("rank", ["--candidates", "nope"]),
         ("rank", ["--candidates", "sinusoidal,nope"]),
         ("rank", ["--candidates", ""]),
+        ("rank", ["--candidates", "parabolic,parabolic"]),
     ])
     def test_out_of_range_values_exit_2_before_fitting(self, data_dir, tmp_path, command, flags):
         if command in ("fit", "rank"):

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -236,6 +237,27 @@ def test_feasible_iff_rebuilt_params_validate(params, good, bad):
         vec = np.asarray(vec, dtype=float)
         assert _validates(params, vec) is expected
         assert bool(params.feasible(vec)) is expected
+
+
+@pytest.mark.parametrize(
+    "params, bad",
+    [(p, bad) for p, _, bad in _FEASIBILITY_CASES if bad is not None],
+    ids=[p.family for p, _, bad in _FEASIBILITY_CASES if bad is not None],
+)
+def test_validate_names_the_family_and_its_rule(params, bad):
+    message = re.escape(f"{params.family} requires {params.rule}")
+    with pytest.raises(InvalidParamsError, match=message):
+        params.with_vector(np.asarray(bad, dtype=float)).validate()
+
+
+@pytest.mark.parametrize("params", [
+    models.SumOfSines(((1.0, 0.5),)),
+    models.SumOfSines(((1.0, 0.5, 0.0), (1.0, 0.5, 0.0, 2.0))),
+    models.Fourier(1.0, ((0.5, 0.2, 0.1),), 0.3),
+], ids=["sum-of-sines-2", "sum-of-sines-4", "fourier-3"])
+def test_a_term_of_the_wrong_width_is_refused(params):
+    with pytest.raises(InvalidParamsError, match=f"each {params.family} term"):
+        params.validate()
 
 
 class TestInitialGuess:

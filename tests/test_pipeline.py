@@ -232,6 +232,49 @@ class TestPerSegmentMode:
         np.testing.assert_array_equal(blocks[1][:, 2], 0.0)
         assert np.all(blocks[2][:, 2] != 0.0)
 
+    def test_a_channel_too_short_for_its_parts_fits_none_of_them(self, monkeypatch):
+        calls = []
+        fit_series = solver.fit_series
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_series(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "fit_series", counting)
+        # 7 points in 4 parts: three parts of 2 that a degree-0 polynomial fits, then one of 1
+        config = pipeline.PipelineConfig(
+            channels=(3,), timestamp_channel=3, timestamp_degree=0,
+            per_segment_fit=True, n_segments=4,
+        )
+        vec = pipeline.preprocess_sample(_sample_from_channel(np.arange(7.0)), config)
+        assert vec.channel_fits[0].error == (
+            "SigfitError: 7 points cannot be split into 4 parts of >= 2"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("per_segment_fit", [False, True])
+    def test_channel_fit_counts_the_evaluations_of_its_fits(
+        self, small_dataset, monkeypatch, per_segment_fit
+    ):
+        results = []
+        fit_series = solver.fit_series
+
+        def recording(*args, **kwargs):
+            results.append(fit_series(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "fit_series", recording)
+        config = dataclasses.replace(TINY, per_segment_fit=per_segment_fit)
+        fit = pipeline.preprocess_sample(small_dataset[1], config).channel_fits[0]
+        assert fit.error is None
+        assert len(results) == (config.n_segments if per_segment_fit else 1)
+        assert fit.evaluations == sum(r.evaluations for r in results) > len(results)
+        assert fit.to_dict()["evaluations"] == fit.evaluations
+        if not per_segment_fit:
+            series = ingest.extract_channel(small_dataset[1], 1)
+            alone = fit_series(series, "sum-of-sines", TINY.n_terms, TINY.solver)
+            assert fit.evaluations == alone.evaluations
+
     def test_segmented_fit_quality_reported(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True, channels=(1,),
                                          timestamp_channel=None)

@@ -513,6 +513,7 @@ FAMILIES = {
         Exponential,
     )
 }
+SEED_POINTS_PER_PARAM = 2  # every family's seed wants this many points per parameter
 
 
 def _as_x(abscissa):
@@ -535,9 +536,10 @@ def jacobian(params, abscissa):
 
 
 def _require_points(y, n_params):
-    if len(y) < 2 * n_params:
+    need = SEED_POINTS_PER_PARAM * n_params
+    if len(y) < need:
         raise TooFewPointsError(
-            f"need at least {2 * n_params} points to seed {n_params} parameters, got {len(y)}"
+            f"need at least {need} points to seed {n_params} parameters, got {len(y)}"
         )
 
 

@@ -1,18 +1,17 @@
 """Batch preprocessing: every channel of every sample into one fixed-length
 coefficient vector.
 
-Non-timestamp channels are fitted with an ``n_terms`` sum-of-sines (default
-11 terms, 33 coefficients); the timestamp channel uses a low-degree
-polynomial whose coefficients sit at the front of an equally wide,
-zero-padded block. With the default 7 channels the vector is 7 x 33 = 231
-coefficients, identical for every sample regardless of its point count.
-
-The alternative ``per_segment_fit`` mode splits each channel into a fixed
-number of near-equal parts (default 11) and fits a single-term sinusoid
-per part (a degree ``timestamp_degree`` polynomial on the timestamp
-channel), again 3 coefficients each, so the vector length is preserved at
-the default settings. The part count is fixed rather than the part size
-because a fixed size would make the vector length depend on the sample.
+Each channel is fitted in near-equal parts laid side by side in its block
+and scored once on the stitched predictions of their canonical parameters.
+By default a channel is one part: an ``n_terms`` sum-of-sines (default 11
+terms, 33 coefficients), or on the timestamp channel a low-degree
+polynomial at the front of an equally wide, zero-padded block; 7 channels
+give 231 coefficients whatever the point count. ``per_segment_fit`` makes
+``n_segments`` parts (default 11), each rescaled to [0, 1] and fitted with
+one sine term (or the timestamp polynomial), 3 coefficients each. The part
+count is fixed, not the part size, or the vector length would depend on
+the sample; parts too short to seed a fit (2 points per parameter) fail
+the channel before any is fitted.
 
 A failed channel fit emits a zero block plus an error flag in the batch
 report; one bad channel never aborts a sample, and one bad sample never
@@ -46,33 +45,38 @@ class PipelineConfig:
     per_segment_fit: bool = False
     n_segments: int = 11
 
+    @property
+    def split(self):
+        """(fits per channel, sum-of-sines terms per fit); each term fills 3 coefficients."""
+        return (self.n_segments, 1) if self.per_segment_fit else (1, self.n_terms)
+
     def validate(self):
         if self.n_terms < 1:
             raise SigfitError("n_terms must be >= 1")
         if self.timestamp_degree < 0:
             raise SigfitError("timestamp_degree must be >= 0")
-        width = 3 if self.per_segment_fit else self.block_width  # what one fit fills
+        width = 3 * self.split[1]  # what one fit fills
         if self.timestamp_degree >= width:
             raise SigfitError(f"timestamp_degree must be < {width}, the coefficients of one fit")
         if self.timestamp_channel is not None and self.timestamp_channel not in self.channels:
             raise SigfitError("timestamp_channel must be one of channels, or None")
-        if self.per_segment_fit and self.n_segments < 1:
+        if self.split[0] < 1:
             raise SigfitError("n_segments must be >= 1")
         self.solver.validate()
 
     @property
     def block_width(self):
-        return 3 * (self.n_segments if self.per_segment_fit else self.n_terms)
+        return 3 * self.split[0] * self.split[1]
 
     @property
     def vector_length(self):
         return len(self.channels) * self.block_width
 
     def channel_model(self, channel):
-        """(family, n_terms) of each fit on one channel: the whole channel or a part."""
+        """(family, n_terms, n_params) of each fit on one channel: the whole channel or a part."""
         if channel == self.timestamp_channel:
-            return TIMESTAMP_FAMILY, self.timestamp_degree
-        return "sum-of-sines", 1 if self.per_segment_fit else self.n_terms
+            return TIMESTAMP_FAMILY, self.timestamp_degree, self.timestamp_degree + 1
+        return "sum-of-sines", self.split[1], 3 * self.split[1]
 
     def channel_family(self, channel):
         """The family label of one channel's block, as its fit reports it."""
@@ -125,56 +129,39 @@ class FeatureVector:
         return sum(len(b) for b in self.blocks)
 
 
-def _gof_safe(series, params):
-    try:
-        report = gof.gof_report(series, params)
-        return report.r_squared, report.rmse
-    except SigfitError:
-        return np.nan, np.nan
+def _channel_block(series, channel, config):
+    """One channel's block and fit record: its parts' fits side by side.
 
-
-def _whole_channel_block(series, channel, config):
-    family, n_terms = config.channel_model(channel)
-    result = solver.fit_series(series, family, n_terms, config.solver)
-    params = models.canonicalize(result.params)
-    coeffs = params.param_vector()
-    block = np.zeros(config.block_width)
-    block[: len(coeffs)] = coeffs
-    r2, rmse = _gof_safe(series, params)
-    info = ChannelFit(
-        channel, family, result.termination, r2, rmse, result.iterations, result.evaluations
-    )
-    return block, info
-
-
-def _segmented_block(series, channel, config):
+    A whole channel is the one-part case; more parts are rescaled to [0, 1].
+    The stitched predictions of the canonical parameters are scored once.
+    """
     x = np.asarray(series.abscissa, dtype=float)
     y = np.asarray(series.ordinate, dtype=float)
-    family, n_terms = config.channel_model(channel)
-    if len(y) < 2 * config.n_segments:  # the shortest part has len(y) // n_segments points
-        raise SigfitError(
-            f"{len(y)} points cannot be split into {config.n_segments} parts of >= 2"
-        )
-    parts = np.array_split(np.arange(len(y)), config.n_segments)
+    family, n_terms, per_fit = config.channel_model(channel)
+    n_parts = config.split[0]
+    need = models.SEED_POINTS_PER_PARAM * per_fit
+    if n_parts > 1 and len(y) < need * n_parts:  # the shortest part has len(y) // n_parts
+        raise SigfitError(f"{len(y)} points cannot be split into {n_parts} parts of >= {need}")
+    width = config.block_width // n_parts
     block = np.zeros(config.block_width)
     predictions = np.empty_like(y)
-    iterations = evaluations = 0
+    n_params = iterations = evaluations = 0
     termination = solver.CONVERGED
-    for k, idx in enumerate(parts):
-        unit = ChannelSeries(x[idx], y[idx]).on_unit_interval()
-        result = solver.fit_series(unit, family, n_terms, config.solver)
-        coeffs = models.canonicalize(result.params).param_vector()
-        block[3 * k : 3 * k + len(coeffs)] = coeffs
-        predictions[idx] = models.evaluate(result.params, unit.abscissa)
+    for k, idx in enumerate(np.array_split(np.arange(len(y)), n_parts)):
+        part = series if n_parts == 1 else ChannelSeries(x[idx], y[idx]).on_unit_interval()
+        result = solver.fit_series(part, family, n_terms, config.solver)
+        params = models.canonicalize(result.params)
+        block[k * width : k * width + params.n_params] = params.param_vector()
+        predictions[idx] = models.evaluate(params, part.abscissa)
+        n_params += params.n_params
         iterations += result.iterations
         evaluations += result.evaluations
         if result.termination != solver.CONVERGED:
             termination = result.termination
-    _, _, r2, rmse = gof.fit_statistics(y, predictions, 3 * config.n_segments)
-    info = ChannelFit(
+    _, _, r2, rmse = gof.fit_statistics(y, predictions, n_params)
+    return block, ChannelFit(
         channel, config.channel_family(channel), termination, r2, rmse, iterations, evaluations
     )
-    return block, info
 
 
 def preprocess_sample(sample, config=None):
@@ -188,10 +175,7 @@ def preprocess_sample(sample, config=None):
         # any exception, from extraction on, costs this channel only
         try:
             series = extract_channel(sample, channel, config.abscissa)
-            if config.per_segment_fit:
-                block, info = _segmented_block(series, channel, config)
-            else:
-                block, info = _whole_channel_block(series, channel, config)
+            block, info = _channel_block(series, channel, config)
         except Exception as exc:
             block = np.zeros(config.block_width)
             info = ChannelFit(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, solver
-from .errors import InvalidParamsError, LengthMismatchError, SegmentTooSmallError
+from .errors import InvalidParamsError, LengthMismatchError, SegmentTooSmallError, TooFewPointsError
 from .ingest import ChannelSeries
 
 log = logging.getLogger(__name__)
@@ -188,19 +188,31 @@ def reference_curve(candidate, seg):
     raise InvalidParamsError(f"unknown candidate {candidate!r}")
 
 
+def _reference_curves(candidate, series, segments):
+    """One candidate's (segments, curves): a tail too short for it to seed joins the one before."""
+    curves = [reference_curve(candidate, seg) for seg in segments[:-1]]
+    try:
+        return segments, curves + [reference_curve(candidate, segments[-1])]
+    except TooFewPointsError:  # only the tail can be short; a lone segment fails again below
+        start = sum(map(len, segments[:-2]))
+    joined = ChannelSeries(series.abscissa[start:], series.ordinate[start:])
+    return segments[:-2] + [joined], curves[:-1] + [reference_curve(candidate, joined)]
+
+
 def rank_families(series, candidates=TABLE_CANDIDATES, segment_size=DEFAULT_SEGMENT_SIZE):
     """Rank candidate families ascending by total area between curves.
 
-    A candidate whose per-segment fit fails is excluded with a warning;
+    A candidate whose per-segment fit fails is excluded with a warning (a
+    tail too short for it to seed joins the segment before it instead);
     the ranking never fails as a whole. Smallest total wins.
     """
     if not candidates:
         raise InvalidParamsError("need at least one candidate family")
-    segments = segment(series, segment_size)
+    tiles = segment(series, segment_size)
     results = []
     for candidate in candidates:
         try:
-            curves = [reference_curve(candidate, seg) for seg in segments]
+            segments, curves = _reference_curves(candidate, series, tiles)
             per_segment = [area_between(seg, seg.ordinate, g) for seg, g in zip(segments, curves)]
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             log.warning("candidate %r excluded: %s: %s", candidate, type(exc).__name__, exc)

@@ -90,12 +90,22 @@ class TestPreprocessSample:
         assert vec.channel_fits[0].error is not None
 
     def test_a_channel_block_is_the_canonical_fit_series_result(self, small_dataset):
-        config = pipeline.PipelineConfig(channels=(1,), timestamp_channel=None)
+        whole = pipeline.PipelineConfig(channels=(1,), timestamp_channel=None)
         series = ingest.extract_channel(small_dataset[0], 1)
-        result = solver.fit_series(series, "sum-of-sines", config.n_terms, config.solver)
-        expected = models.canonicalize(result.params).param_vector()
-        vec = pipeline.preprocess_sample(small_dataset[0], config)
-        assert vec.blocks[0].tobytes() == expected.tobytes()
+        # with per_segment_fit each 3-wide slot is one unit part's single-term fit
+        units = [
+            ingest.ChannelSeries(series.abscissa[idx], series.ordinate[idx]).on_unit_interval()
+            for idx in np.array_split(np.arange(len(series)), whole.n_segments)
+        ]
+        for config, parts, n_terms in [
+            (whole, [series], whole.n_terms),
+            (dataclasses.replace(whole, per_segment_fit=True), units, 1),
+        ]:
+            block = pipeline.preprocess_sample(small_dataset[0], config).blocks[0]
+            for slot, part in zip(np.split(block, len(parts)), parts, strict=True):
+                result = solver.fit_series(part, "sum-of-sines", n_terms, config.solver)
+                expected = models.canonicalize(result.params).param_vector()
+                assert slot.tobytes() == expected.tobytes()
 
     def test_determinism(self, small_dataset):
         a = pipeline.preprocess_sample(small_dataset[2])
@@ -188,11 +198,27 @@ class TestBatchIsolation:
         def broken(series, channel, config):
             raise ValueError("not a sigfit error")
 
-        monkeypatch.setattr(pipeline, "_whole_channel_block", broken)
+        monkeypatch.setattr(pipeline, "_channel_block", broken)
         sample = _sample_from_channel(np.arange(60.0))
-        vec = pipeline.preprocess_sample(sample, TINY)
-        np.testing.assert_array_equal(vec.values, 0.0)
-        assert vec.channel_fits[0].error == "ValueError: not a sigfit error"
+        for per_segment_fit in (False, True):
+            config = dataclasses.replace(TINY, per_segment_fit=per_segment_fit)
+            vec = pipeline.preprocess_sample(sample, config)
+            np.testing.assert_array_equal(vec.values, 0.0)
+            assert vec.channel_fits[0].error == "ValueError: not a sigfit error"
+
+
+@pytest.fixture
+def fit_series_calls(monkeypatch):
+    """The arguments of every ``solver.fit_series`` call the test makes."""
+    calls = []
+    fit_series = solver.fit_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_series(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit_series", counting)
+    return calls
 
 
 class TestPerSegmentMode:
@@ -232,15 +258,7 @@ class TestPerSegmentMode:
         np.testing.assert_array_equal(blocks[1][:, 2], 0.0)
         assert np.all(blocks[2][:, 2] != 0.0)
 
-    def test_a_channel_too_short_for_its_parts_fits_none_of_them(self, monkeypatch):
-        calls = []
-        fit_series = solver.fit_series
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return fit_series(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "fit_series", counting)
+    def test_a_channel_too_short_for_its_parts_fits_none_of_them(self, fit_series_calls):
         # 7 points in 4 parts: three parts of 2 that a degree-0 polynomial fits, then one of 1
         config = pipeline.PipelineConfig(
             channels=(3,), timestamp_channel=3, timestamp_degree=0,
@@ -250,7 +268,28 @@ class TestPerSegmentMode:
         assert vec.channel_fits[0].error == (
             "SigfitError: 7 points cannot be split into 4 parts of >= 2"
         )
-        assert calls == []
+        assert fit_series_calls == []
+
+    def test_parts_too_short_to_seed_a_sine_fit_none_of_them(self, fit_series_calls):
+        # 60 points in 11 parts: five of 6, which seed one sine term, then six of 5
+        values = 5000.0 + 800.0 * np.sin(0.13 * np.arange(60.0))
+        config = dataclasses.replace(TINY, per_segment_fit=True)
+        vec = pipeline.preprocess_sample(_sample_from_channel(values), config)
+        assert vec.channel_fits[0].error == (
+            "SigfitError: 60 points cannot be split into 11 parts of >= 6"
+        )
+        assert fit_series_calls == []
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_timestamp_rmse_counts_each_parts_own_parameters(self, small_dataset, degree):
+        config = pipeline.PipelineConfig(
+            channels=(3,), timestamp_channel=3, timestamp_degree=degree, per_segment_fit=True
+        )
+        fit = pipeline.preprocess_sample(small_dataset[0], config).channel_fits[0]
+        y = ingest.extract_channel(small_dataset[0], 3).ordinate.astype(float)
+        sse = (1.0 - fit.r_squared) * np.sum((y - y.mean()) ** 2)
+        dof = len(y) - config.n_segments * (degree + 1)
+        assert fit.rmse == pytest.approx(np.sqrt(sse / dof), rel=1e-8)
 
     @pytest.mark.parametrize("per_segment_fit", [False, True])
     def test_channel_fit_counts_the_evaluations_of_its_fits(

@@ -212,6 +212,23 @@ def test_short_tail_segments_rank_all_three_candidates(n):
     assert all(np.isfinite(report.total) for _, report in rankings)
 
 
+def test_a_tail_too_short_to_seed_joins_the_segment_before():
+    # U7S5 of the 12-user synth set: 286 points leave a tail of 6, under the
+    # 8 points that weibull or a one-term fourier needs to seed
+    sample = synth.generate_samples(n_users=7, genuine=5, forged=0)[-1]
+    assert (sample.user_id, sample.sample_index, sample.n_points) == ("7", 5, 286)
+    candidates = selection.TABLE_CANDIDATES + ("weibull", "fourier", "polynomial")
+    for channel in range(1, ingest.N_CHANNELS + 1):
+        series = ingest.extract_channel(sample, channel)
+        rankings = dict(selection.rank_families(series, candidates))
+        assert set(rankings) == set(candidates)
+        assert [len(rankings[f].per_segment) for f in candidates] == [15, 15, 15, 14, 14, 15]
+        assert all(np.isfinite(report.total) for report in rankings.values())
+    # one segment has none before it to join: the candidate is excluded
+    rankings = selection.rank_families(_series_of_length(6), ("weibull", "parabolic"))
+    assert [f for f, _ in rankings] == ["parabolic"]
+
+
 def test_reference_curve_shapes(reference_series):
     seg = selection.segment(reference_series, 20)[3]
     for candidate in ("sinusoidal", "parabolic", "exponential", "sine"):

@@ -229,7 +229,8 @@ def cmd_fit(settings, out_dir):
     solver_cfg = _solver_config(settings)
     try:
         result = solver.fit_series(series, settings["family"], settings["terms"], solver_cfg)
-        report = gof.gof_report(series, result.params)
+        f = models.evaluate(result.params, series.abscissa)
+        report = gof.gof_report(series.ordinate, f, result.params.n_params)
     except SigfitError as exc:
         raise _CliError(f"fit failed: {exc}", EXIT_FIT) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,14 +243,7 @@ def cmd_fit(settings, out_dir):
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "termination": result.termination,
-        "gof": {
-            "sse": report.sse,
-            "r_squared": report.r_squared,
-            "adjusted_r_squared": report.adjusted_r_squared,
-            "rmse": report.rmse,
-            "n_points": report.n_points,
-            "n_params": report.n_params,
-        },
+        "gof": report.to_dict(),
     }
     if settings["trace"]:
         payload["trace"] = list(result.trace)

@@ -1,20 +1,29 @@
 """Goodness-of-fit statistics: SSE, R-squared, adjusted R-squared, RMSE.
 
-RMSE uses the degrees-of-freedom denominator sqrt(SSE / (N - P)), the
-curve-fitting-toolbox convention, so SSE / RMSE^2 == N - P holds exactly
-on every report. R-squared may be negative (a fit worse than the mean);
-constant data makes it undefined, which is reported as a flag rather than
-an error.
+``gof_report`` is the one place that turns data and model values into
+statistics; ``sigfit fit`` and every pipeline channel score through it.
+It works on arrays, so the stitched predictions of a per-segment fit score
+like one fit. RMSE uses the degrees-of-freedom denominator
+sqrt(SSE / (N - P)), the curve-fitting-toolbox convention, so
+SSE / RMSE^2 == N - P holds exactly on every report. R-squared may be
+negative (a fit worse than the mean). An undefined statistic is NaN, never
+an error: R-squared when the data are constant (SST = 0), RMSE when
+N <= P, adjusted R-squared in either case. JSON has no NaN, so
+``nan_to_none`` writes each one as None (``null``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import models
-from .errors import LengthMismatchError, TooFewPointsError
+from .errors import LengthMismatchError
+
+
+def nan_to_none(fields):
+    """``fields`` (a dict) with each NaN float as None."""
+    return {k: None if isinstance(v, float) and np.isnan(v) else v for k, v in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -25,40 +34,28 @@ class GofReport:
     rmse: float
     n_points: int
     n_params: int
-    degenerate_variance: bool = False  # SST == 0: R-squared undefined
+
+    @property
+    def degenerate_variance(self):
+        """R-squared is undefined because SST == 0: the data are constant."""
+        return bool(np.isnan(self.r_squared))
+
+    def to_dict(self):
+        return nan_to_none(asdict(self))
 
 
-def fit_statistics(y, f, n_params):
-    """(SSE, SST, R-squared, RMSE) of model values ``f`` against data ``y``.
-
-    Array-level, so stitched per-part predictions score like one fit.
-    R-squared is NaN when SST is 0; RMSE is NaN when N <= ``n_params``.
-    """
+def gof_report(y, f, n_params):
+    """Statistics of model values ``f`` against data ``y``, fitted with ``n_params``."""
+    y = np.asarray(y, dtype=float)
+    if len(f) != len(y):
+        raise LengthMismatchError("model values and ordinate lengths differ")
+    n = len(y)
     resid = y - f
     sse = float(resid @ resid)
     centered = y - np.mean(y)
     sst = float(centered @ centered)
-    dof = len(y) - n_params
-    rmse = float(np.sqrt(sse / dof)) if dof > 0 else np.nan
+    dof = n - n_params
     r2 = 1.0 - sse / sst if sst > 0 else np.nan
-    return sse, sst, r2, rmse
-
-
-def gof_report(series, params):
-    """Statistics of one fitted parameter set against its series."""
-    y = np.asarray(series.ordinate, dtype=float)
-    f = models.evaluate(params, series.abscissa)
-    if len(f) != len(y):
-        raise LengthMismatchError("model values and ordinate lengths differ")
-    n = len(y)
-    p = params.n_params
-    if n <= p:
-        raise TooFewPointsError(f"need more points ({n}) than parameters ({p})")
-    sse, sst, r2, rmse = fit_statistics(y, f, p)
-    if sst == 0.0:
-        return GofReport(sse, np.nan, np.nan, rmse, n, p, degenerate_variance=True)
-    if n - p - 1 > 0:
-        adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-    else:
-        adj = np.nan
-    return GofReport(sse, r2, adj, rmse, n, p)
+    adj = 1.0 - (1.0 - r2) * (n - 1) / (dof - 1) if dof > 1 else np.nan
+    rmse = float(np.sqrt(sse / dof)) if dof > 0 else np.nan
+    return GofReport(sse, r2, adj, rmse, n, n_params)

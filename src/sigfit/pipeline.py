@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,16 +100,7 @@ class ChannelFit:
     error: str | None = None
 
     def to_dict(self):
-        return {
-            "channel": self.channel,
-            "family": self.family,
-            "termination": self.termination,
-            "r_squared": None if np.isnan(self.r_squared) else self.r_squared,
-            "rmse": None if np.isnan(self.rmse) else self.rmse,
-            "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "error": self.error,
-        }
+        return gof.nan_to_none(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,8 @@ def _channel_block(series, channel, config):
         evaluations += result.evaluations
         if result.termination != solver.CONVERGED:
             termination = result.termination
-    _, _, r2, rmse = gof.fit_statistics(y, predictions, n_params)
+    report = gof.gof_report(y, predictions, n_params)
+    r2, rmse = report.r_squared, report.rmse
     return block, ChannelFit(
         channel, config.channel_family(channel), termination, r2, rmse, iterations, evaluations
     )

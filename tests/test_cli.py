@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sigfit import cli, ingest, pipeline, synth
@@ -81,6 +82,32 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert len(payload["trace"]) >= 1
+
+    @pytest.mark.parametrize("family", ["polynomial", "sum-of-sines", "fourier"])
+    def test_a_constant_channel_writes_null_r_squared(self, tmp_path, family):
+        # 60 points whose channel 7 (pressure) is constant: SST = 0, R^2 undefined
+        data = np.zeros((60, 7), dtype=np.int64)
+        data[:, 0] = np.rint(5000.0 + 800.0 * np.sin(0.13 * np.arange(60)))
+        data[:, 2] = 10 * np.arange(60) + 1_000_000
+        data[:, 3:] = 100
+        path = tmp_path / "C1S1.TXT"
+        path.write_text(ingest.serialize_sample(ingest.SignatureSample("c", 1, ingest.GENUINE, data)))
+        code = run_cli(
+            ["fit", "--file", path, "--channel", "7", "--family", family, "--terms", "3",
+             "--out", tmp_path]
+        )
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "fit.json").read_text()
+        report = json.loads(text, parse_constant=no_constant)["gof"]
+        assert report["r_squared"] is None
+        assert report["adjusted_r_squared"] is None
+        assert list(report) == [
+            "sse", "r_squared", "adjusted_r_squared", "rmse", "n_points", "n_params"
+        ]
 
 
 class TestRankCommand:

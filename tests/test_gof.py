@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigfit import gof, models, solver
-from sigfit.errors import TooFewPointsError
+from sigfit.errors import LengthMismatchError
 from tests.conftest import make_series
+
+
+def params_report(x, y, params):
+    """The report of ``params`` fitted to (x, y)."""
+    return gof.gof_report(y, models.evaluate(params, np.asarray(x, dtype=float)), params.n_params)
 
 
 def test_perfect_fit():
     x = np.arange(20.0)
     params = models.Polynomial((1.0, -3.0, 2.0))
-    report = gof.gof_report(make_series(x, models.evaluate(params, x)), params)
+    report = params_report(x, models.evaluate(params, x), params)
     assert report.sse == 0.0
     assert report.r_squared == 1.0
     assert report.rmse == 0.0
@@ -18,7 +23,7 @@ def test_perfect_fit():
 
 def test_two_point_hand_computation():
     # y=[0,1] against f=[0,0]: SSE=1, SST=0.5, R^2=-1
-    report = gof.gof_report(make_series([0.0, 1.0], [0.0, 1.0]), models.Polynomial((0.0,)))
+    report = params_report([0.0, 1.0], [0.0, 1.0], models.Polynomial((0.0,)))
     assert report.sse == pytest.approx(1.0)
     assert report.r_squared == pytest.approx(-1.0)
 
@@ -26,8 +31,7 @@ def test_two_point_hand_computation():
 def test_constant_model_r_squared_is_exactly_zero():
     rng = np.random.default_rng(4)
     y = rng.normal(10.0, 3.0, 50)
-    series = make_series(np.arange(50.0), y)
-    report = gof.gof_report(series, models.Polynomial((float(np.mean(y)),)))
+    report = params_report(np.arange(50.0), y, models.Polynomial((float(np.mean(y)),)))
     assert report.r_squared == 0.0
 
 
@@ -35,7 +39,7 @@ def test_fit_worse_than_mean_gives_negative_r_squared():
     x = np.arange(40.0)
     y = 100.0 + 50.0 * np.sin(0.5 * x)
     # a straight line far from the data
-    report = gof.gof_report(make_series(x, y), models.Polynomial((10.0, -500.0)))
+    report = params_report(x, y, models.Polynomial((10.0, -500.0)))
     assert report.r_squared < 0.0
 
 
@@ -48,7 +52,7 @@ def test_dof_identity_and_adjusted_relation():
         result = solver.fit(
             solver.FitProblem(series, models.initial_guess("polynomial", series, degree))
         )
-        report = gof.gof_report(series, result.params)
+        report = params_report(x, y, result.params)
         p = degree + 1
         assert abs(report.sse / report.rmse**2 - (n - p)) <= 1e-9 * (n - p)
         if n > p + 1:
@@ -64,9 +68,8 @@ def test_dof_identity_property(n, seed):
     rng = np.random.default_rng(seed)
     x = np.arange(float(n))
     y = rng.normal(size=n)
-    series = make_series(x, y)
     params = models.Polynomial((float(rng.normal()), float(rng.normal())))
-    report = gof.gof_report(series, params)
+    report = params_report(x, y, params)
     assert abs(report.sse / report.rmse**2 - (n - 2)) <= 1e-9 * (n - 2)
     assert report.sse >= 0.0
     assert report.rmse >= 0.0
@@ -74,8 +77,7 @@ def test_dof_identity_property(n, seed):
 
 
 def test_degenerate_variance_flag():
-    series = make_series(np.arange(10.0), np.full(10, 3.0))
-    report = gof.gof_report(series, models.Polynomial((1.0, 0.0)))
+    report = params_report(np.arange(10.0), np.full(10, 3.0), models.Polynomial((1.0, 0.0)))
     assert report.degenerate_variance
     assert np.isnan(report.r_squared)
     assert np.isnan(report.adjusted_r_squared)
@@ -83,27 +85,27 @@ def test_degenerate_variance_flag():
 
 
 def test_needs_more_points_than_params():
-    series = make_series([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(TooFewPointsError):
-        gof.gof_report(series, models.Polynomial((1.0, 0.0)))
+    # N <= P is not an error: RMSE and adjusted R^2, which need N - P > 0, are NaN
+    for n, params in [(2, models.Polynomial((1.0, 0.0))), (1, models.Polynomial((2.0,)))]:
+        report = params_report(np.arange(float(n)), np.arange(float(n)), params)
+        assert np.isnan(report.rmse)
+        assert np.isnan(report.adjusted_r_squared)
+        assert (report.to_dict()["rmse"], report.to_dict()["adjusted_r_squared"]) == (None, None)
 
 
-def test_fit_statistics_match_the_report():
-    rng = np.random.default_rng(8)
-    x = np.arange(30.0)
-    y = 2.0 * x + rng.normal(0.0, 1.5, 30)
-    params = models.Polynomial((1.9, 0.3))
-    report = gof.gof_report(make_series(x, y), params)
-    sse, _, r2, rmse = gof.fit_statistics(y, models.evaluate(params, x), params.n_params)
-    assert (sse, r2, rmse) == (report.sse, report.r_squared, report.rmse)
-
-
-def test_fit_statistics_without_spare_points():
+def test_stitched_predictions_without_spare_points():
     # stitched per-part fits may use every point: R^2 stays, RMSE has no dof
     y = np.array([1.0, 3.0, 2.0, 5.0])
     f = np.array([1.5, 2.5, 2.5, 4.5])
-    sse, sst, r2, rmse = gof.fit_statistics(y, f, 4)
-    assert (sse, sst) == (1.0, 8.75)
-    assert r2 == 1.0 - 1.0 / 8.75
-    assert np.isnan(rmse)
-    assert np.isnan(gof.fit_statistics(np.full(4, 2.0), f, 2)[2])  # SST = 0
+    report = gof.gof_report(y, f, 4)
+    assert report.sse == 1.0
+    assert report.r_squared == 1.0 - 1.0 / 8.75  # SST = 8.75
+    assert np.isnan(report.rmse)
+    assert np.isnan(report.adjusted_r_squared)
+    assert np.isnan(gof.gof_report(np.full(4, 2.0), f, 2).r_squared)  # SST = 0
+
+
+def test_lengths_must_match():
+    with pytest.raises(LengthMismatchError):
+        gof.gof_report(np.zeros(4), np.zeros(3), 1)
+

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfit import _blas, ingest, models, pipeline, solver
+from sigfit import _blas, gof, ingest, models, pipeline, solver
 from sigfit.errors import SigfitError
 
 TINY = pipeline.PipelineConfig(
@@ -313,6 +313,28 @@ class TestPerSegmentMode:
             series = ingest.extract_channel(small_dataset[1], 1)
             alone = fit_series(series, "sum-of-sines", TINY.n_terms, TINY.solver)
             assert fit.evaluations == alone.evaluations
+
+    @pytest.mark.parametrize("per_segment_fit", [False, True])
+    def test_each_channel_is_scored_once_by_gof_report(
+        self, small_dataset, monkeypatch, per_segment_fit
+    ):
+        reports = []
+        gof_report = gof.gof_report
+
+        def recording(*args, **kwargs):
+            reports.append(gof_report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(gof, "gof_report", recording)
+        config = dataclasses.replace(
+            TINY, channels=(1, 3), timestamp_channel=3, per_segment_fit=per_segment_fit
+        )
+        batch = pipeline.uniformize_dataset(small_dataset[1:2], config)
+        channels = batch.report["samples"][0]["channels"]
+        assert [c["error"] for c in channels] == [None, None]
+        assert len(reports) == len(channels)
+        for entry, report in zip(channels, reports):
+            assert (entry["r_squared"], entry["rmse"]) == (report.r_squared, report.rmse)
 
     def test_segmented_fit_quality_reported(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True, channels=(1,),

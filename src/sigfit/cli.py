@@ -1,18 +1,19 @@
 """Batch command line: fit, rank, preprocess, eval, synth, rerun.
 
-Every command writes a run manifest next to its outputs: the resolved
-configuration snapshot, inputs, outputs, tool version, backend, the
-environment (Python, numpy, BLAS threads, CPUs, pool start method) and
-wall time. ``sigfit rerun <manifest>`` replays the recorded configuration
-and produces byte-identical files. Diagnostics go to stderr; data goes to
+Each command returns its files; ``_run`` alone writes them and, next to
+them, a run manifest: the resolved configuration snapshot, inputs (absolute
+paths), outputs, tool version, the environment (Python, numpy, backend,
+BLAS threads, CPUs, pool start method) and wall time. ``sigfit rerun
+<manifest>`` replays the recorded configuration from any directory and
+produces byte-identical files. Diagnostics go to stderr; data goes to
 files. Exit codes: 0 success, 2 parse/usage errors, 3 fit errors, 4 I/O
-errors. When ``--root`` is omitted, the SIGFIT_DATA_ROOT environment
-variable supplies the dataset directory.
+errors (any file error). When ``--root`` is omitted, the SIGFIT_DATA_ROOT
+environment variable supplies the dataset directory.
 
 One table, ``SETTINGS``, holds each command's settings: every key is at
-once the flag (``--key``), the config-file key and the manifest key. A
-boolean key also has ``--no-key``, so a flag can turn off what a config
-file turned on.
+once the flag (``--key``), the config-file key and the manifest key; other
+keys are ignored with a warning. A boolean key also has ``--no-key``, so a
+flag can turn off what a config file turned on.
 """
 
 from __future__ import annotations
@@ -101,33 +102,32 @@ class _CliError(SigfitError):
 
 def _load_json_object(path, what):
     """The JSON object in a config file or a manifest; what names it in errors."""
-    p = Path(path)
-    if not p.is_file():
-        raise _CliError(f"{what} not found: {p}", EXIT_IO)
     try:
-        config = json.loads(p.read_text())
+        config = json.loads(Path(path).read_text())
         if not isinstance(config, dict):
             raise ValueError("not a JSON object")
     except ValueError as exc:  # JSONDecodeError is one
-        raise _CliError(f"bad {what} {p}: {exc}", EXIT_PARSE) from exc
+        raise _CliError(f"bad {what} {path}: {exc}", EXIT_PARSE) from exc
     return config
 
 
-def _settings(args):
-    """Resolve the command's table: defaults < config file < flags.
+def _settings(command, flags, file_config):
+    """Resolve the command's table: defaults < file_config < flags (None is no flag).
 
     Each value is typed, checked and made canonical wherever it came from.
     """
-    file_config = _load_json_object(args.config, "config file") if args.config else {}
+    ignored = sorted(set(file_config) - set(SETTINGS[command]))
+    if ignored:
+        print(f"warning: {command} does not read {', '.join(ignored)}; ignored", file=sys.stderr)
     settings = {}
-    for key, default in SETTINGS[args.command].items():
-        value = getattr(args, key.replace("-", "_"), None)
+    for key, default in SETTINGS[command].items():
+        value = flags.get(key)
         if value is None:
             value = file_config.get(key, default)
         if value is None and key == "root":
             value = os.environ.get("SIGFIT_DATA_ROOT") or None
         settings[key] = None if value is None else _coerce(key, value, default)
-    _check_ranges(args.command, settings)
+    _check_ranges(command, settings)
     return settings
 
 
@@ -147,7 +147,7 @@ def _coerce(key, value, default):
         if value not in _CHOICES[key]:
             raise _CliError(f"unknown {key} {value!r}", EXIT_PARSE)
         value = _CHOICES[key][value]
-    return str(Path(value)) if default is None else value
+    return os.path.abspath(value) if default is None else value
 
 
 def _check_ranges(command, settings):
@@ -206,8 +206,6 @@ def _read_series(settings):
     if settings["file"] is None:
         raise _CliError("no input file: pass --file", EXIT_PARSE)
     path = Path(settings["file"])
-    if not path.is_file():
-        raise _CliError(f"input file not found: {path}", EXIT_IO)
     try:
         sample = ingest.parse_sample(path.read_text())
     except SigfitError as exc:
@@ -224,7 +222,7 @@ def _dataset_root(settings):
     return root
 
 
-def cmd_fit(settings, out_dir):
+def cmd_fit(settings):
     series, in_path = _read_series(settings)
     solver_cfg = _solver_config(settings)
     try:
@@ -233,7 +231,6 @@ def cmd_fit(settings, out_dir):
         report = gof.gof_report(series.ordinate, f, result.params.n_params)
     except SigfitError as exc:
         raise _CliError(f"fit failed: {exc}", EXIT_FIT) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "family": settings["family"],
         "algorithm": solver_cfg.algorithm,
@@ -247,28 +244,24 @@ def cmd_fit(settings, out_dir):
     }
     if settings["trace"]:
         payload["trace"] = list(result.trace)
-    fit_path = out_dir / "fit.json"
-    fit_path.write_text(json.dumps(payload, indent=2) + "\n")
+    code = EXIT_OK
     if result.termination not in (solver.CONVERGED, solver.STALLED, solver.MAX_ITERATIONS):
         print(f"fit did not converge: {result.termination}", file=sys.stderr)
-        return EXIT_FIT, [in_path], [fit_path]
-    return EXIT_OK, [in_path], [fit_path]
+        code = EXIT_FIT
+    return code, [in_path], [("fit.json", json.dumps(payload, indent=2) + "\n")]
 
 
-def cmd_rank(settings, out_dir):
+def cmd_rank(settings):
     series, in_path = _read_series(settings)
     candidates = settings["candidates"].split(",") if settings["candidates"] else []
     try:
         rankings = selection.rank_families(series, candidates, settings["segment-size"])
     except SigfitError as exc:
         raise _CliError(f"ranking failed: {exc}", EXIT_FIT) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "ranking.csv"
-    csv_path.write_text(selection.ranking_csv(rankings))
-    return EXIT_OK, [in_path], [csv_path]
+    return EXIT_OK, [in_path], [("ranking.csv", selection.ranking_csv(rankings))]
 
 
-def cmd_preprocess(settings, out_dir):
+def cmd_preprocess(settings):
     root = _dataset_root(settings)
     config = _pipeline_config(settings)
     index = ingest.load_dataset(root)
@@ -276,20 +269,15 @@ def cmd_preprocess(settings, out_dir):
     if not samples:
         print(f"warning: no samples under {root}", file=sys.stderr)
     batch = pipeline.uniformize_dataset(samples, config, jobs=settings["jobs"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "vectors.csv"
-    csv_path.write_text(pipeline.vectors_to_csv(batch.vectors, config))
-    json_path = out_dir / "vectors.json"
-    json_path.write_text(json.dumps(pipeline.vectors_to_json(batch.vectors)) + "\n")
-    report_path = out_dir / "batch_report.json"
-    report_path.write_text(json.dumps(batch.report, indent=2) + "\n")
-    manifest_path = out_dir / "dataset_manifest.json"
-    ingest.write_dataset_manifest(index, manifest_path)
-    outputs = [csv_path, json_path, report_path, manifest_path]
-    return EXIT_OK, [root], outputs
+    return EXIT_OK, [root], [
+        ("vectors.csv", pipeline.vectors_to_csv(batch.vectors, config)),
+        ("vectors.json", json.dumps(pipeline.vectors_to_json(batch.vectors)) + "\n"),
+        ("batch_report.json", json.dumps(batch.report, indent=2) + "\n"),
+        ("dataset_manifest.json", json.dumps(ingest.dataset_manifest(index), indent=2) + "\n"),
+    ]
 
 
-def cmd_eval(settings, out_dir):
+def cmd_eval(settings):
     root = _dataset_root(settings)
     config = _pipeline_config(settings)
     protocol = _protocol(settings)
@@ -298,33 +286,23 @@ def cmd_eval(settings, out_dir):
         results = verify.compare_preprocessors(samples, config, protocol, jobs=settings["jobs"])
     except SigfitError as exc:
         raise _CliError(f"evaluation failed: {exc}", EXIT_FIT) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, entry in results.items():
-        roc_path = out_dir / f"roc_{name}.csv"
-        roc_path.write_text(verify.roc_csv(entry["roc"]))
-        outputs.append(roc_path)
-    eer_csv = out_dir / "eer.csv"
-    eer_csv.write_text(verify.eer_table_csv(results))
-    eer_json = out_dir / "eer.json"
-    eer_json.write_text(
-        json.dumps({k: {"eer": v["eer"], "n_trials": v["n_trials"]} for k, v in results.items()},
-                   indent=2) + "\n"
-    )
-    outputs.extend([eer_csv, eer_json])
-    return EXIT_OK, [root], outputs
+    eers = {k: {"eer": v["eer"], "n_trials": v["n_trials"]} for k, v in results.items()}
+    return EXIT_OK, [root], [
+        *((f"roc_{name}.csv", verify.roc_csv(entry["roc"])) for name, entry in results.items()),
+        ("eer.csv", verify.eer_table_csv(results)),
+        ("eer.json", json.dumps(eers, indent=2) + "\n"),
+    ]
 
 
-def cmd_synth(settings, out_dir):
+def cmd_synth(settings):
     try:
-        paths = synth.write_dataset(
-            out_dir, n_users=settings["users"], seed=settings["seed"],
+        files = synth.dataset_files(
+            n_users=settings["users"], seed=settings["seed"],
             genuine=settings["genuine"], forged=settings["forged"],
         )
     except InvalidParamsError as exc:
         raise _CliError(str(exc), EXIT_PARSE) from exc
-    print(f"wrote {len(paths)} samples to {out_dir}", file=sys.stderr)
-    return EXIT_OK, [], paths
+    return EXIT_OK, [], files
 
 
 def _environment():
@@ -339,28 +317,39 @@ def _environment():
     }
 
 
-def _run(args):
-    """Resolve the settings, run the command, record its manifest."""
+def _run(command, settings, out_dir):
+    """Run the command, then write its files and its manifest: the one writer of a run.
+
+    Nothing is written, not even out_dir, when the command raises.
+    """
     started = time.time()
-    settings = _settings(args)
-    out_dir = Path(args.out)
-    code, inputs, outputs = _COMMANDS[args.command][0](settings, out_dir)
+    code, inputs, files = _COMMANDS[command][0](settings)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for name, text in files:
+        path = out_dir / name
+        path.write_text(text)
+        outputs.append(str(path))
     manifest = {
-        "command": args.command,
+        "command": command,
         "tool_version": __version__,
-        "backend": BACKEND,
         "config": settings,
         "environment": _environment(),
         "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "outputs": outputs,
         "wall_time_s": round(time.time() - started, 3),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return code
 
 
-def cmd_rerun(args):
-    """Replay a manifest: every recorded ``config`` key stands in for its flag."""
+def _request(args):
+    """(command, flags, file config, out dir); a replay's file is the manifest's config."""
+    if args.command != "rerun":
+        flags = {key: getattr(args, key.replace("-", "_")) for key in SETTINGS[args.command]}
+        file_config = _load_json_object(args.config, "config file") if args.config else {}
+        return args.command, flags, file_config, args.out
     manifest_path = Path(args.manifest)
     manifest = _load_json_object(manifest_path, "manifest")
     command = manifest.get("command")
@@ -368,10 +357,7 @@ def cmd_rerun(args):
         raise _CliError(f"manifest for unknown command {command!r}", EXIT_PARSE)
     if not isinstance(manifest.get("config"), dict):
         raise _CliError(f"bad manifest {manifest_path}: no config object", EXIT_PARSE)
-    replay = _build_parser().parse_args([command, "--out", args.out or str(manifest_path.parent)])
-    for key, value in manifest["config"].items():
-        setattr(replay, key.replace("-", "_"), value)
-    return replay.func(replay)
+    return command, {}, manifest["config"], args.out or manifest_path.parent
 
 
 _COMMANDS = {
@@ -405,26 +391,27 @@ def _build_parser():
         out = "sigfit-data" if command == "synth" else "sigfit-out"
         p.add_argument("--out", default=out, help=f"output directory; default: {out}")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.set_defaults(func=_run)
 
     p_rerun = sub.add_parser("rerun", help="replay a recorded run manifest")
     p_rerun.add_argument("manifest")
     p_rerun.add_argument("--out", default=None, help="override output directory")
-    p_rerun.set_defaults(func=cmd_rerun)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        command, flags, file_config, out_dir = _request(args)
+        return _run(command, _settings(command, flags, file_config), out_dir)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except SigfitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

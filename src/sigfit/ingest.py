@@ -14,7 +14,6 @@ rejections.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -266,7 +265,3 @@ def dataset_manifest(index):
         "warnings": index.warnings,
         "errors": [{"path": e.path, "error": e.error} for e in index.errors],
     }
-
-
-def write_dataset_manifest(index, out_path):
-    Path(out_path).write_text(json.dumps(dataset_manifest(index), indent=2) + "\n")

@@ -169,10 +169,11 @@ def fit(problem, config=None):
     """Minimize chi-square over the problem's parameters.
 
     Accepted chi-square values are non-increasing; the termination reason
-    is always recorded. Non-finite model values at the starting point or
-    at an accepted point raise NonFiniteValueError (``fit_series`` retries
-    from a rescaled start); non-finite or infeasible trial points are simply
-    rejected. ``evaluations`` counts the model evaluations: the start and
+    is always recorded. A non-finite model or chi-square at the starting
+    point, or a non-finite model at an accepted point, raises
+    NonFiniteValueError (``fit_series`` retries from a rescaled start);
+    non-finite or infeasible trial points are simply rejected.
+    ``evaluations`` counts the model evaluations: the start and
     every trial, rejected ones included.
     """
     config = config or SolverConfig()
@@ -205,9 +206,10 @@ def fit(problem, config=None):
 
     vec = params.param_vector()
     fvec = try_residuals(vec)
-    if fvec is None:
-        raise NonFiniteValueError("model is non-finite at the initial parameters")
-    chi2 = float(fvec @ fvec)
+    with np.errstate(over="ignore"):
+        chi2 = np.inf if fvec is None else float(fvec @ fvec)
+    if not np.isfinite(chi2):
+        raise NonFiniteValueError("model or chi-square is non-finite at the initial parameters")
     trace = [chi2]
 
     if p == 0:

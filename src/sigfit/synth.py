@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParamsError
-from .ingest import FORGED, GENUINE, GENUINE_MAX, SignatureSample
+from .ingest import FORGED, GENUINE, GENUINE_MAX, SignatureSample, serialize_sample
 
 DEFAULT_SEED = 20040501
 DEVICE_TICK_MS = 10
@@ -205,32 +205,39 @@ def generate_samples(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
     return samples
 
 
-def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
-    """Write U<user>S<sample>.TXT files; returns the list of paths.
+def dataset_files(n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
+    """(U<user>S<sample>.TXT, text) pairs, each text serialized as it is read.
 
-    File numbers follow the 20 + 20 convention ``ingest.load_dataset``
+    The samples are made now, so refused counts raise here. File numbers follow the 20 + 20 convention ``ingest.load_dataset``
     labels by: genuine samples are S1..S<genuine> and forgeries are
     numbered from S21 on, whatever the split, so the loader reads back the
     labels written here. More than 20 genuine samples cannot be labelled
-    that way and are refused, as are the counts ``generate_samples``
-    refuses; nothing is written then.
+    that way and are refused, as are the counts ``generate_samples`` refuses.
     """
-    from .ingest import serialize_sample
-
     if genuine > GENUINE_MAX:
         raise InvalidParamsError(
             f"genuine {genuine} > {GENUINE_MAX}: the loader labels files "
             f"S{GENUINE_MAX + 1} and up as forgeries"
         )
     samples = generate_samples(n_users, seed, genuine, forged)
+    shift = GENUINE_MAX - genuine
+    return (
+        (f"U{s.user_id}S{s.sample_index + (shift if s.label == FORGED else 0)}.TXT",
+         serialize_sample(s))
+        for s in samples
+    )
+
+
+def write_dataset(root, n_users=12, seed=DEFAULT_SEED, genuine=20, forged=20):
+    """Write ``dataset_files`` under root, each as it is made; returns the paths.
+
+    Refused counts write nothing.
+    """
+    files = dataset_files(n_users, seed, genuine, forged)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     paths = []
-    for sample in samples:
-        number = sample.sample_index
-        if sample.label == FORGED:
-            number += GENUINE_MAX - genuine
-        path = root / f"U{sample.user_id}S{number}.TXT"
-        path.write_text(serialize_sample(sample))
-        paths.append(path)
+    for name, text in files:
+        (root / name).write_text(text)
+        paths.append(root / name)
     return paths

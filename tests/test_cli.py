@@ -50,6 +50,17 @@ class TestFitCommand:
         assert code == 0
         assert json.loads((tmp_path / "fit.json").read_text())["termination"] == "stalled"
 
+    def test_a_failed_termination_exits_3_and_still_writes_fit_json(self, data_dir, tmp_path):
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--channel", "3", "--algorithm", "gn",
+             "--out", tmp_path]
+        )
+        assert code == 3
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert payload["termination"] == "singular-normal-matrix"
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs == [str(tmp_path / "fit.json")]
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code = run_cli(["fit", "--file", tmp_path / "nope.TXT", "--out", tmp_path])
         assert code == 4
@@ -82,6 +93,15 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads((tmp_path / "fit.json").read_text())
         assert len(payload["trace"]) >= 1
+
+    def test_a_chi_square_that_overflows_at_the_start_exits_3(self, data_dir, tmp_path):
+        # e^x over the point index is finite to x = 709, its square is not
+        out = tmp_path / "out"
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--family", "exponential", "--out", out]
+        )
+        assert code == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("family", ["polynomial", "sum-of-sines", "fourier"])
     def test_a_constant_channel_writes_null_r_squared(self, tmp_path, family):
@@ -162,7 +182,7 @@ class TestPreprocessCommand:
         assert run_cli(["rerun", first / "manifest.json", "--out", second]) == 0
         assert (second / "vectors.csv").read_bytes() == (first / "vectors.csv").read_bytes()
 
-    def test_rerun_accepts_a_recorded_segment_size(self, tmp_path):
+    def test_rerun_accepts_a_recorded_segment_size(self, tmp_path, capsys):
         # manifests written before preprocess dropped its unused
         # --segment-size still carry the key; they must replay unchanged
         data = tmp_path / "data"
@@ -177,8 +197,10 @@ class TestPreprocessCommand:
         manifest["config"]["segment-size"] = 20
         manifest_path.write_text(json.dumps(manifest))
         second = tmp_path / "second"
+        capsys.readouterr()
         assert run_cli(["rerun", manifest_path, "--out", second]) == 0
         assert (second / "vectors.csv").read_bytes() == (first / "vectors.csv").read_bytes()
+        assert "segment-size" in capsys.readouterr().err
 
     def test_per_segment_mode_changes_header(self, data_dir, tmp_path):
         out = tmp_path / "seg"
@@ -303,7 +325,8 @@ class TestRerun:
 class TestSettings:
     def test_preprocess_defaults_are_the_library_defaults(self):
         args = cli._build_parser().parse_args(["preprocess"])
-        assert cli._pipeline_config(cli._settings(args)) == pipeline.PipelineConfig()
+        settings = cli._settings(*cli._request(args)[:3])
+        assert cli._pipeline_config(settings) == pipeline.PipelineConfig()
 
     @pytest.mark.parametrize("command, config", [
         ("fit", {"family": "nope"}),
@@ -393,9 +416,27 @@ class TestSettings:
     def test_a_flag_turns_off_a_config_file_boolean(self, tmp_path, command, key):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: True}))
-        parse = cli._build_parser().parse_args
-        assert cli._settings(parse([command, "--config", str(config)]))[key] is True
-        assert cli._settings(parse([command, "--config", str(config), f"--no-{key}"]))[key] is False
+
+        def settings(*flags):
+            args = cli._build_parser().parse_args([command, "--config", str(config), *flags])
+            return cli._settings(*cli._request(args)[:3])
+
+        assert settings()[key] is True
+        assert settings(f"--no-{key}")[key] is False
+
+    def test_a_key_the_command_does_not_read_is_named_in_one_warning(
+        self, data_dir, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max-iteration": 5, "terms": 2}))
+        code = run_cli(
+            ["fit", "--file", data_dir / "U1S1.TXT", "--channel", "3", "--family",
+             "polynomial", "--config", config, "--out", tmp_path / "out"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert "max-iteration" in lines[0] and "terms" not in lines[0]
 
     def test_no_trace_flag_drops_a_config_file_trace(self, data_dir, tmp_path):
         config = tmp_path / "config.json"
@@ -455,6 +496,57 @@ class TestSynthCommand:
         args = ["--users", users, "--genuine", genuine, "--forged", forged, "--out", out]
         assert run_cli(["synth", *args]) == 2
         assert not list(out.glob("*.TXT"))
+
+
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    """2 users x (4 genuine + 2 forged) in a directory named data."""
+    root = tmp_path_factory.mktemp("small") / "data"
+    assert run_cli(["synth", "--users", "2", "--genuine", "4", "--forged", "2", "--out", root]) == 0
+    return root
+
+
+# each command's flags, input paths relative to the parent of small_dir
+RUNS = {
+    "fit": ["--file", "data/U1S1.TXT", "--channel", "3", "--family", "polynomial", "--terms", "2"],
+    "rank": ["--file", "data/U1S2.TXT", "--candidates", "sinusoidal,parabolic",
+             "--segment-size", "30"],
+    "preprocess": ["--root", "data", "--terms", "2", "--max-iterations", "20", "--jobs", "1"],
+    "eval": ["--root", "data", "--terms", "2", "--max-iterations", "20", "--jobs", "1",
+             "--enroll", "2"],
+    "synth": ["--users", "1", "--genuine", "2", "--forged", "1", "--seed", "3"],
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_outputs_are_the_files_written_and_rerun_elsewhere_replays_them(
+        self, small_dir, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(small_dir.parent)
+        first = tmp_path / "first"
+        assert run_cli([command, *RUNS[command], "--out", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        written = sorted(p for p in first.iterdir() if p.name != "manifest.json")
+        assert written and sorted(Path(p) for p in manifest["outputs"]) == written
+        assert all(Path(p).is_absolute() for p in manifest["inputs"])
+        assert "backend" not in manifest  # recorded once, in environment
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["rerun", first / "manifest.json", "--out", "second"]) == 0
+        for path in written:
+            assert (tmp_path / "second" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_a_file_in_the_way_of_out_exits_4_with_one_error_line(
+        self, small_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(small_dir.parent)
+        blocker = tmp_path / "out"
+        blocker.write_text("")
+        assert run_cli([command, *RUNS[command], "--out", blocker]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert blocker.read_text() == ""
 
 
 class TestEntryPoint:

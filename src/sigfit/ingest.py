@@ -1,8 +1,8 @@
 """SVC2004-format file parsing and per-channel series extraction.
 
 File layout: first line is the point count, then one point per line with
-7 whitespace-separated integer columns (x, y, timestamp, button status,
-azimuth, altitude, pressure). Files are named ``U<user>S<sample>.TXT``
+7 integer columns separated by spaces or tabs (x, y, timestamp, button
+status, azimuth, altitude, pressure). Files are named ``U<user>S<sample>.TXT``
 with samples 1-20 genuine and 21-40 forged (``NAME_PATTERN`` and
 ``GENUINE_MAX``).
 
@@ -82,30 +82,86 @@ class ChannelSeries:
         return ChannelSeries((x - x[0]) / (x[-1] - x[0]), self.ordinate)
 
 
+# the file grammar, in ASCII; parse_sample's docstring states it
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_FIELD = re.compile(r"[^ \t]+")
+_TOKEN = re.compile(r"[+-]?[0-9]+")
+_BODY_BYTES = b"0123456789+- \t\r\n"
+_INT64 = np.iinfo(np.int64)
+_LONG_TOKEN = 19  # characters; a shorter token always fits in int64
+
+
 def parse_sample(text, user_id="?", sample_index=0, label=GENUINE, source_path=""):
-    """Parse one SVC2004-format file body into a SignatureSample."""
+    """Parse one SVC2004-format file body into a SignatureSample.
+
+    The grammar is ASCII: a token is an optional sign and decimal digits
+    whose value fits in int64; fields are separated by spaces or tabs; a
+    line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Line numbers count
+    from the first line of ``text.strip()``, blank lines included. Only the
+    first field of the count line is read.
+    """
     if not text or not text.strip():
         raise EmptyInputError("empty sample file")
-    lines = text.strip().splitlines()
-    try:
-        declared = int(lines[0].split()[0])
-    except (ValueError, IndexError) as exc:
-        raise MalformedLineError(1, f"point count expected, got {lines[0]!r}") from exc
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split()
+    head, *rest = _LINE_BREAK.split(text.strip(), maxsplit=1)
+    body = "".join(rest)
+    field = _FIELD.match(head).group()  # stripped text starts with a field
+    if not _TOKEN.fullmatch(field):
+        raise MalformedLineError(1, f"point count expected, got {head!r}")
+    declared = int(field)
+    raw = body.encode("ascii", errors="replace")  # a non-ASCII character fails the check
+    if not _well_formed(raw):
+        _raise_first_malformed_line(body)
+    # converted after the check's temporaries are freed, so that the kept
+    # arrays pack in the heap as tightly as the per-line parser's did
+    data = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, N_CHANNELS)
+    if len(data) != declared:
+        raise CountMismatchError(f"declared {declared} points, found {len(data)}")
+    return SignatureSample(user_id, sample_index, label, data, source_path)
+
+
+def _well_formed(raw):
+    """Whether every line of ``raw`` is blank or holds 7 ASCII integers in int64.
+
+    Tokens are the maximal runs of sign and digit bytes. A sign must open its
+    token and precede a digit, so every token is an ASCII integer. Each line
+    holds 0 or 7 tokens exactly when the tokens fall in consecutive groups of
+    7, with a line break between two groups and none within one.
+    """
+    if raw.translate(None, _BODY_BYTES):
+        return False
+    u = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    in_token = u >= ord("+")  # signs and digits sort above space, tab, CR and LF
+    edges = (in_token[1:] != in_token[:-1]).nonzero()[0]
+    first, last = edges[0::2] + 1, edges[1::2]  # each token's first and last index in u
+    if len(first) % N_CHANNELS:
+        return False
+    signs = ((u == ord("+")) | (u == ord("-"))).nonzero()[0]
+    if in_token[signs - 1].any() or (u[signs + 1] < ord("0")).any():
+        return False
+    breaks = ((u == ord("\n")) | (u == ord("\r"))).nonzero()[0]
+    line = breaks.searchsorted(first).reshape(-1, N_CHANNELS)
+    if (line[:, 0] != line[:, -1]).any() or (line[1:, 0] == line[:-1, -1]).any():
+        return False
+    # numpy clamps an out-of-range token to the int64 bounds; only a long one can be
+    return all(
+        _INT64.min <= int(raw[first[i] - 1 : last[i]]) <= _INT64.max
+        for i in (last - first + 1 >= _LONG_TOKEN).nonzero()[0]
+    )
+
+
+def _raise_first_malformed_line(body):
+    """Raise MalformedLineError for the first line that ``_well_formed`` rejected."""
+    for line_no, line in enumerate(_LINE_BREAK.split(body), start=2):
+        fields = _FIELD.findall(line)
         if not fields:
             continue
         if len(fields) != N_CHANNELS:
             raise MalformedLineError(line_no, f"expected 7 fields, got {len(fields)}")
-        try:
-            rows.append([int(f) for f in fields])
-        except ValueError as exc:
-            raise MalformedLineError(line_no, f"non-integer token in {line!r}") from exc
-    if len(rows) != declared:
-        raise CountMismatchError(f"declared {declared} points, found {len(rows)}")
-    data = np.asarray(rows, dtype=np.int64)
-    return SignatureSample(user_id, sample_index, label, data, source_path)
+        if not all(_TOKEN.fullmatch(f) for f in fields):
+            raise MalformedLineError(line_no, f"non-integer token in {line!r}")
+        if not all(_INT64.min <= int(f) <= _INT64.max for f in fields):
+            raise MalformedLineError(line_no, f"integer outside int64 in {line!r}")
+    raise AssertionError("_well_formed rejected a body whose lines are all well formed")
 
 
 def serialize_sample(sample):

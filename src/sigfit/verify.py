@@ -16,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .errors import InsufficientEnrollmentError, InvalidParamsError, OneClassOnlyError, SigfitError
-from .ingest import GENUINE, extract_channel
+from .errors import (
+    ChannelOutOfRangeError,
+    InsufficientEnrollmentError,
+    InvalidParamsError,
+    OneClassOnlyError,
+    SigfitError,
+)
+from .ingest import GENUINE, N_CHANNELS
+from .ingest import extract_channel  # noqa: F401 - perfbench/tracing.py wraps this binding
 
 SIGMA_FLOOR = 1e-9
 
@@ -103,11 +110,12 @@ def roc_and_eer(trials):
     if len(genuine) == 0 or len(forged) == 0:
         raise OneClassOnlyError("need at least one genuine and one forged trial")
     thresholds = np.unique(np.concatenate([genuine, forged]))[::-1]
-    points = []
-    for th in thresholds:
-        far = float(np.mean(forged >= th))
-        frr = float(np.mean(genuine < th))
-        points.append(RocPoint(float(th), far, frr))
+    # counts from the sorted scores, where NaN sorts last: a NaN score is
+    # neither accepted nor rejected, and a NaN threshold accepts and rejects none
+    accepted = np.searchsorted(forged, np.nan) - np.searchsorted(forged, thresholds)
+    rejected = np.where(np.isnan(thresholds), 0, np.searchsorted(genuine, thresholds))
+    far, frr = accepted / len(forged), rejected / len(genuine)
+    points = [RocPoint(*p) for p in zip(thresholds.tolist(), far.tolist(), frr.tolist())]
     eer = _interpolate_eer(points)
     return points, eer
 
@@ -147,26 +155,34 @@ class _RawVector:
     values: np.ndarray
 
 
-# the raw baselines read ordinates only, so they take the index abscissa:
-# a timestamp abscissa would reject repeated timestamps it never uses
+def _raw_columns(channels):
+    """The 0-based data columns of 1-based ``channels``; a raw vector is one slice of them."""
+    if not channels:
+        raise InvalidParamsError("a raw baseline needs at least one channel")
+    for c in channels:
+        if not 1 <= c <= N_CHANNELS:
+            raise ChannelOutOfRangeError(f"channel {c} not in 1..{N_CHANNELS}")
+    return [c - 1 for c in channels]
+
+
+# a raw vector is its channels' values one channel after another, as floats
 def _truncate_vectors(samples, channels):
+    cols = _raw_columns(channels)
     min_n = min(s.n_points for s in samples)
-    out = []
-    for s in samples:
-        parts = [extract_channel(s, c).ordinate[:min_n] for c in channels]
-        out.append(_RawVector(s.user_id, s.sample_index, s.label, np.concatenate(parts)))
-    return out
+    return [
+        _RawVector(s.user_id, s.sample_index, s.label, s.data[:min_n, cols].T.astype(float).ravel())
+        for s in samples
+    ]
 
 
 def _zero_pad_vectors(samples, channels):
+    cols = _raw_columns(channels)
     max_n = max(s.n_points for s in samples)
     out = []
     for s in samples:
-        parts = []
-        for c in channels:
-            ordinate = extract_channel(s, c).ordinate
-            parts.append(np.pad(ordinate, (0, max_n - len(ordinate))))
-        out.append(_RawVector(s.user_id, s.sample_index, s.label, np.concatenate(parts)))
+        values = np.zeros((len(cols), max_n))
+        values[:, : s.n_points] = s.data[:, cols].T
+        out.append(_RawVector(s.user_id, s.sample_index, s.label, values.ravel()))
     return out
 
 

@@ -71,6 +71,20 @@ class TestFitCommand:
         bad.write_text("2\n1 2 3\n4 5 6\n")
         assert run_cli(["fit", "--file", bad, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"2\n99999999999999999999 2 3 4 5 6 7\n1 2 3 4 5 6 7\n", b"2\n1 2 3 4 5 6 7\n1 2 \xff 4 5 6 7\n"],
+        ids=["outside-int64", "not-utf-8"],
+    )
+    def test_a_file_without_int64_rows_exits_2_with_one_error_line(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.TXT"
+        bad.write_bytes(body)
+        out = tmp_path / "out"
+        assert run_cli(["fit", "--file", bad, "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot parse {bad}")
+        assert not out.exists()
+
     def test_gn_and_lm_agree_on_linear_family(self, data_dir, tmp_path):
         params = {}
         for alg in ("gn", "lm"):

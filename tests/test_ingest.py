@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigfit import ingest, synth
 from sigfit.errors import (
@@ -70,6 +73,109 @@ class TestParseSample:
                    ingest.parse_sample(messy)]
         for sample in samples:
             assert ingest.serialize_sample(sample).encode() == per_value(sample).encode()
+
+    @pytest.mark.parametrize(
+        "token", [str(2**63), str(-(2**63) - 1), "99999999999999999999", "-00099999999999999999999"]
+    )
+    def test_an_integer_outside_int64_raises_on_its_line(self, token):
+        text = f"2\n1 2 3 4 5 6 7\n1 2 {token} 4 5 6 7\n"
+        with pytest.raises(MalformedLineError) as err:
+            ingest.parse_sample(text)
+        assert err.value.line_no == 3
+
+    def test_the_int64_bounds_parse(self):
+        low, high = -(2**63), 2**63 - 1
+        text = f"2\n{low} 0 {high} 0 0 0 0\n+{high} -0 000{high} 1 2 3 -{-low}\n"
+        sample = ingest.parse_sample(text)
+        assert sample.data.tolist() == [[low, 0, high, 0, 0, 0, 0], [high, 0, high, 1, 2, 3, low]]
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0663", "\uff11", "+", "-", "1-2", "+-1", "1.0"])
+    def test_a_token_that_is_not_an_ascii_integer_raises(self, token):
+        with pytest.raises(MalformedLineError) as err:
+            ingest.parse_sample(f"2\n1 2 3 4 5 6 7\n\n1 2 3 {token} 5 6 7\n")
+        assert err.value.line_no == 4
+
+    def test_a_zero_count_is_an_empty_sample(self):
+        with pytest.raises(EmptyInputError, match="at least 2 points"):
+            ingest.parse_sample("0\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_per_line_reference(self, data):
+        rows = data.draw(st.lists(st.lists(INT64, min_size=7, max_size=7), min_size=2, max_size=6))
+        lines = [str(len(rows)) + data.draw(COUNT_LINE_EXTRAS)]
+        starts = []  # index in ``lines`` of each row
+        for row in rows:
+            lines.extend(data.draw(st.lists(PADDING, max_size=2)))  # blank lines
+            starts.append(len(lines))
+            lines.append(data.draw(_row_text(row)))
+        ends = data.draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+        ends[-1] = data.draw(st.sampled_from(["", *LINE_ENDS]))
+        text = "".join(line + end for line, end in zip(lines, ends))
+        parsed = ingest.parse_sample(text).data
+        assert parsed.dtype == np.int64
+        np.testing.assert_array_equal(parsed, _reference_parse(text))
+
+        # one mutated row raises on that row's line, as the reference does
+        i = data.draw(st.integers(0, len(rows) - 1))
+        tokens = _FIELDS.findall(lines[starts[i]])
+        j = data.draw(st.integers(0, 6))
+        mutation = data.draw(st.sampled_from(["6 fields", "8 fields", "non-integer", "2**63"]))
+        if mutation == "6 fields":
+            del tokens[j]
+        elif mutation == "8 fields":
+            tokens.insert(j, "1")
+        else:
+            tokens[j] = data.draw(NON_INTEGERS) if mutation == "non-integer" else str(2**63)
+        lines[starts[i]] = data.draw(SEPARATOR).join(tokens)
+        text = "".join(line + end for line, end in zip(lines, ends))
+        prefix = "".join(line + end for line, end in zip(lines[: starts[i]], ends))
+        line_no = len(prefix.splitlines()) + 1
+        for parse in (ingest.parse_sample, _reference_parse):
+            with pytest.raises(MalformedLineError) as err:
+                parse(text)
+            assert err.value.line_no == line_no
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+PADDING = st.text(alphabet=" \t", max_size=2)
+SEPARATOR = st.text(alphabet=" \t", min_size=1, max_size=3)
+LINE_ENDS = ["\n", "\r\n", "\r"]
+COUNT_LINE_EXTRAS = st.sampled_from(["", " ", " 7", "\tx  y", " 1_000 \t-"])
+NON_INTEGERS = st.sampled_from(["x", "1.5", "1_000", "--1", "+", "1-2", "0x1f", "\u0663"])
+_FIELDS = re.compile(r"[^ \t]+")
+
+
+@st.composite
+def _row_text(draw, row):
+    tokens = []
+    for value in row:
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        tokens.append(sign + draw(st.sampled_from(["", "0", "00"])) + str(abs(value)))
+    separators = draw(st.lists(SEPARATOR, min_size=6, max_size=6))
+    body = tokens[0] + "".join(s + t for s, t in zip(separators, tokens[1:]))
+    return draw(PADDING) + body + draw(PADDING)
+
+
+def _reference_parse(text):
+    """The line-by-line parser, on text that holds no other whitespace than the grammar's."""
+    lines = text.strip().splitlines()
+    declared = int(lines[0].split()[0])
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 7:
+            raise MalformedLineError(line_no, f"expected 7 fields, got {len(fields)}")
+        if not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+            raise MalformedLineError(line_no, f"non-integer token in {line!r}")
+        values = [int(f) for f in fields]
+        if not all(-(2**63) <= v < 2**63 for v in values):
+            raise MalformedLineError(line_no, f"integer outside int64 in {line!r}")
+        rows.append(values)
+    assert len(rows) == declared
+    return np.array(rows, dtype=np.int64)
 
 
 class TestExtractChannel:
@@ -213,6 +319,16 @@ class TestLoadDataset:
             str(tmp_path / "U1S01.txt"), str(tmp_path / "U1S1.TXT")
         ]
         assert all("duplicate of" in e.error and "U01S01.txt" in e.error for e in index.errors)
+
+    def test_an_out_of_range_or_undecodable_file_is_listed_in_errors(self, tmp_path):
+        synth.write_dataset(tmp_path, n_users=1, genuine=3, forged=0)
+        (tmp_path / "U1S2.TXT").write_text("2\n99999999999999999999 2 3 4 5 6 7\n1 2 3 4 5 6 7\n")
+        (tmp_path / "U1S3.TXT").write_bytes(b"2\n1 2 3 4 5 6 7\n1 2 3 \xff 5 6 7\n")
+        index = ingest.load_dataset(tmp_path)
+        assert index.counts() == {"1": (1, 0)}
+        errors = {Path(e.path).name: e.error for e in index.errors}
+        assert errors["U1S2.TXT"].startswith("MalformedLineError: line 2:")
+        assert errors["U1S3.TXT"].startswith("UnicodeDecodeError:")
 
     def test_a_bad_file_does_not_shadow_its_duplicate(self, tmp_path):
         (tmp_path / "U01S01.txt").write_text("5\n1 2 3\n")

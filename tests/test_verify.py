@@ -3,8 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sigfit import pipeline, verify
-from sigfit.errors import InsufficientEnrollmentError, InvalidParamsError, OneClassOnlyError
+from sigfit import ingest, pipeline, verify
+from sigfit.errors import (
+    ChannelOutOfRangeError,
+    InsufficientEnrollmentError,
+    InvalidParamsError,
+    OneClassOnlyError,
+)
 
 
 def _vec(user, index, label, values):
@@ -132,6 +137,31 @@ class TestRocAndEer:
         with pytest.raises(OneClassOnlyError):
             verify.roc_and_eer([verify.ScoredTrial("u", 1.0, "genuine")])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_the_per_threshold_means(self, seed):
+        # scores on a coarse grid, so the classes tie within and between them;
+        # the last seed adds NaN scores, which neither side counts
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.normal(size=300), 1)
+        if seed == 3:
+            scores[::29] = np.nan
+        truths = rng.choice(["genuine", "forged"], size=300)
+        trials = [verify.ScoredTrial("u", float(s), str(t)) for s, t in zip(scores, truths)]
+        points, eer = verify.roc_and_eer(trials)
+
+        genuine = np.sort(scores[truths == "genuine"])
+        forged = np.sort(scores[truths == "forged"])
+        expected = [
+            verify.RocPoint(float(th), float(np.mean(forged >= th)), float(np.mean(genuine < th)))
+            for th in np.unique(np.concatenate([genuine, forged]))[::-1]
+        ]
+
+        def as_bytes(roc):
+            return np.array([(p.threshold, p.far, p.frr) for p in roc]).tobytes()
+
+        assert as_bytes(points) == as_bytes(expected)
+        assert np.float64(eer).tobytes() == np.float64(verify._interpolate_eer(expected)).tobytes()
+
     def test_roc_csv(self):
         trials = [
             verify.ScoredTrial("u", 1.0, "genuine"),
@@ -199,3 +229,23 @@ class TestComparePreprocessors:
         for name in baselines:
             assert timestamp[name]["eer"] == index[name]["eer"]
             assert timestamp[name]["roc"] == index[name]["roc"]
+
+    @pytest.mark.parametrize("channel", [0, 8])
+    @pytest.mark.parametrize("baseline", ["truncate", "zero-pad"])
+    def test_a_channel_outside_1_to_7_raises(self, tiny_dataset, baseline, channel):
+        config = pipeline.PipelineConfig(channels=(channel,))
+        with pytest.raises(ChannelOutOfRangeError):
+            verify.compare_preprocessors(tiny_dataset, config, include=(baseline,))
+
+    def test_raw_vectors_equal_the_extracted_channels(self, tiny_dataset):
+        channels = (7, 1, 3)
+        samples = list(tiny_dataset)
+        lengths = [s.n_points for s in samples]
+        truncated = verify._truncate_vectors(samples, channels)
+        padded = verify._zero_pad_vectors(samples, channels)
+        for s, cut, pad in zip(samples, truncated, padded):
+            ordinates = [ingest.extract_channel(s, c).ordinate for c in channels]
+            expected_cut = np.concatenate([y[: min(lengths)] for y in ordinates])
+            expected_pad = np.concatenate([np.pad(y, (0, max(lengths) - len(y))) for y in ordinates])
+            assert cut.values.tobytes() == expected_cut.tobytes()
+            assert pad.values.tobytes() == expected_pad.tobytes()

@@ -161,8 +161,11 @@ def _check_ranges(command, settings):
             _solver_config(settings).validate()
     except SigfitError as exc:
         raise _CliError(f"bad settings: {exc}", EXIT_PARSE) from exc
-    if command in ("fit", "rank") and not 1 <= settings["channel"] <= ingest.N_CHANNELS:
-        raise _CliError(f"channel {settings['channel']} not in 1..{ingest.N_CHANNELS}", EXIT_PARSE)
+    try:
+        if command in ("fit", "rank"):
+            ingest.check_channels((settings["channel"],))
+    except SigfitError as exc:
+        raise _CliError(str(exc), EXIT_PARSE) from exc
     if command == "rank" and settings["segment-size"] < 2:
         raise _CliError(f"segment size {settings['segment-size']} < 2", EXIT_PARSE)
     if command == "rank":
@@ -271,7 +274,7 @@ def cmd_preprocess(settings):
     batch = pipeline.uniformize_dataset(samples, config, jobs=settings["jobs"])
     return EXIT_OK, [root], [
         ("vectors.csv", pipeline.vectors_to_csv(batch.vectors, config)),
-        ("vectors.json", json.dumps(pipeline.vectors_to_json(batch.vectors)) + "\n"),
+        ("vectors.json", json.dumps(pipeline.vectors_to_json(batch.vectors, config)) + "\n"),
         ("batch_report.json", json.dumps(batch.report, indent=2) + "\n"),
         ("dataset_manifest.json", json.dumps(ingest.dataset_manifest(index), indent=2) + "\n"),
     ]

@@ -177,7 +177,7 @@ def check_sample(sample, source="<memory>"):
     t = sample.data[:, 2]
     bad = np.nonzero(np.diff(t) < 0)[0]
     for i in bad:
-        warnings.append(f"{source}: timestamp decreases at point {i + 2} (line {i + 3})")
+        warnings.append(f"{source}: timestamp decreases at point {i + 2}")
     b = sample.data[:, 3]
     if np.any((b != 0) & (b != 1)):
         warnings.append(f"{source}: button status outside {{0, 1}}")
@@ -187,14 +187,25 @@ def check_sample(sample, source="<memory>"):
     return warnings
 
 
+def check_channels(channels):
+    """The channel rule: a channel list is non-empty, each channel is in 1..7 and none repeats."""
+    if not channels:
+        raise InvalidParamsError(f"no channels: pass at least one of 1..{N_CHANNELS}")
+    for c in channels:
+        if not 1 <= c <= N_CHANNELS:
+            raise ChannelOutOfRangeError(f"channel {c} not in 1..{N_CHANNELS}")
+    if len(set(channels)) < len(channels):
+        raise InvalidParamsError(f"channels {tuple(channels)} repeat a channel")
+    return channels
+
+
 def extract_channel(sample, channel_index, abscissa="index"):
     """Project one channel to floats against an index or timestamp abscissa.
 
     The default 0-based index abscissa keeps segment boundaries exact;
     ``abscissa="timestamp"`` uses device timestamps shifted to start at 0.
     """
-    if not 1 <= channel_index <= N_CHANNELS:
-        raise ChannelOutOfRangeError(f"channel {channel_index} not in 1..{N_CHANNELS}")
+    check_channels((channel_index,))
     ordinate = sample.data[:, channel_index - 1].astype(float)
     if abscissa == "index":
         xs = np.arange(sample.n_points, dtype=float)
@@ -212,35 +223,37 @@ class FileIssue:
     error: str
 
 
+def sample_order(sample):
+    """The one order of samples in a batch: numeric user ids first, then the sample number.
+
+    Takes anything with ``user_id`` and ``sample_index``: a sample or its vector.
+    """
+    user = sample.user_id
+    return (0, int(user)) if user.isdecimal() else (1, user), sample.sample_index
+
+
 @dataclass
 class DatasetIndex:
-    """Parsed dataset grouped per user, with a non-fatal issue report."""
+    """Parsed samples in ``sample_order``, with non-fatal warnings and per-file errors."""
 
-    genuine: dict = field(default_factory=dict)  # user_id -> list[SignatureSample]
-    forged: dict = field(default_factory=dict)
+    parsed: list = field(default_factory=list)  # list[SignatureSample]
     warnings: list = field(default_factory=list)
     errors: list = field(default_factory=list)  # list[FileIssue]
 
-    @property
-    def user_ids(self):
-        return sorted(set(self.genuine) | set(self.forged), key=_user_sort_key)
-
     def samples(self):
-        out = []
-        for user in self.user_ids:
-            out.extend(self.genuine.get(user, []))
-            out.extend(self.forged.get(user, []))
-        return out
+        return list(self.parsed)
 
     def counts(self):
-        return {
-            user: (len(self.genuine.get(user, [])), len(self.forged.get(user, [])))
-            for user in self.user_ids
-        }
+        """user_id -> (genuine, forged) sample counts, users in sample order."""
+        out = {}
+        for s in self.parsed:
+            g, f = out.get(s.user_id, (0, 0))
+            out[s.user_id] = (g + 1, f) if s.label == GENUINE else (g, f + 1)
+        return out
 
     def point_count_histogram(self):
         bin_width = 50  # points
-        counts = [s.n_points for s in self.samples()]
+        counts = [s.n_points for s in self.parsed]
         if not counts:
             return {}
         lo = (min(counts) // bin_width) * bin_width
@@ -252,10 +265,6 @@ class DatasetIndex:
             for i in range(len(hist))
             if hist[i] > 0
         }
-
-
-def _user_sort_key(user_id):
-    return (0, int(user_id)) if user_id.isdigit() else (1, user_id)
 
 
 def load_dataset(root):
@@ -293,13 +302,10 @@ def load_dataset(root):
             continue
         loaded[user, sample_no] = sample.source_path
         index.warnings.extend(check_sample(sample, source=sample.source_path))
-        bucket = index.genuine if label == GENUINE else index.forged
-        bucket.setdefault(user, []).append(sample)
+        index.parsed.append(sample)
     if matched == 0:
         index.warnings.append(f"{root}: no files matched pattern {NAME_PATTERN.pattern!r}")
-    for user in index.user_ids:
-        index.genuine.get(user, []).sort(key=lambda s: s.sample_index)
-        index.forged.get(user, []).sort(key=lambda s: s.sample_index)
+    index.parsed.sort(key=sample_order)
     return index
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _blas, gof, models, solver
 from .errors import SigfitError
-from .ingest import ChannelSeries, extract_channel, N_CHANNELS, _user_sort_key
+from .ingest import ChannelSeries, check_channels, extract_channel, N_CHANNELS, sample_order
 from .solver import SolverConfig
 
 TIMESTAMP_FAMILY = "polynomial"
@@ -51,6 +51,7 @@ class PipelineConfig:
         return (self.n_segments, 1) if self.per_segment_fit else (1, self.n_terms)
 
     def validate(self):
+        check_channels(self.channels)
         if self.n_terms < 1:
             raise SigfitError("n_terms must be >= 1")
         if self.timestamp_degree < 0:
@@ -105,19 +106,16 @@ class ChannelFit:
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """One sample's fixed-length vector, fitted or raw; a raw baseline's has no channel_fits."""
+
     user_id: str
     sample_index: int
     label: str
-    blocks: tuple  # one float array per channel, each block_width long
-    layout: tuple  # (channel, family, width) per block
+    values: np.ndarray  # float64; fitted blocks lie end to end in config.layout() order
     channel_fits: tuple = ()
 
-    @property
-    def values(self):
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
-
     def __len__(self):
-        return sum(len(b) for b in self.blocks)
+        return len(self.values)
 
 
 def _channel_block(series, channel, config):
@@ -160,29 +158,20 @@ def preprocess_sample(sample, config=None):
     """Fit every configured channel and pack coefficients per the layout."""
     config = config or PipelineConfig()
     config.validate()
-    layout = config.layout()
-    blocks = []
+    values = np.zeros(config.vector_length)
     infos = []
-    for channel, family, _ in layout:
+    for k, (channel, family, width) in enumerate(config.layout()):
         # any exception, from extraction on, costs this channel only
         try:
             series = extract_channel(sample, channel, config.abscissa)
             block, info = _channel_block(series, channel, config)
+            values[k * width : (k + 1) * width] = block
         except Exception as exc:
-            block = np.zeros(config.block_width)
             info = ChannelFit(
                 channel, family, "failed", np.nan, np.nan, 0, 0, f"{type(exc).__name__}: {exc}"
             )
-        blocks.append(block)
         infos.append(info)
-    return FeatureVector(
-        sample.user_id,
-        sample.sample_index,
-        sample.label,
-        tuple(blocks),
-        layout,
-        tuple(infos),
-    )
+    return FeatureVector(sample.user_id, sample.sample_index, sample.label, values, tuple(infos))
 
 
 _CHUNK = 4  # samples per pool task
@@ -203,7 +192,7 @@ def uniformize_dataset(samples, config=None, jobs=1):
     """One vector per sample, identical length and layout across the run.
 
     Per-sample failures land in the report, never abort the batch. Output
-    order is deterministic: sorted by (user_id, sample_index). Every fit,
+    order is deterministic: ``ingest.sample_order``. Every fit,
     serial or in a pool worker, runs on one BLAS thread; the report records
     that count (None without BLAS thread control) and the worker count,
     which is at most one per chunk of 4 samples, and counts per channel
@@ -211,7 +200,7 @@ def uniformize_dataset(samples, config=None, jobs=1):
     """
     config = config or PipelineConfig()
     config.validate()
-    samples = sorted(samples, key=lambda s: (_user_sort_key(s.user_id), s.sample_index))
+    samples = sorted(samples, key=sample_order)
     # a forked pool starts all its workers at once: no more than there are chunks
     jobs = max(1, min(jobs, -(-len(samples) // _CHUNK)))
     # the fits run on one BLAS thread: a second one only busy-waits, and pool
@@ -270,16 +259,17 @@ def vectors_to_csv(vectors, config):
     return "\n".join(lines) + "\n"
 
 
-def vectors_to_json(vectors):
-    """Structured block form of the same vectors."""
+def vectors_to_json(vectors, config):
+    """Structured block form of the same vectors, one block per entry of the layout."""
+    layout = config.layout()
     return [
         {
             "user_id": vec.user_id,
             "sample_index": vec.sample_index,
             "label": vec.label,
             "blocks": [
-                {"channel": layout[0], "family": layout[1], "coefficients": [float(v) for v in block]}
-                for layout, block in zip(vec.layout, vec.blocks)
+                {"channel": channel, "family": family, "coefficients": block.tolist()}
+                for (channel, family, _), block in zip(layout, np.split(vec.values, len(layout)))
             ],
         }
         for vec in vectors

@@ -48,6 +48,8 @@ EQUATION_LABELS = {
     "fourier": "y = a0 + sum a_i cos(i w x) + b_i sin(i w x)",
     "polynomial": "y = a_1 x^k + ... + a_k x + a_{k+1}",
     "weibull": "Weibull density",
+    "weibull2": "y = exp(-(lam x)^beta)",
+    "parabola": "y = 2 sqrt(a x)",
     "scaled-exponential": "y = p e^{q x}",
     "sine": "y = sin x",
 }
@@ -229,6 +231,5 @@ def ranking_csv(rankings):
     """CSV mirroring the family/equation/area layout, ascending by area."""
     lines = [RANKING_CSV_HEADER]
     for family, report in rankings:
-        label = EQUATION_LABELS.get(family, family)
-        lines.append(f'{family},"{label}",{report.total:.17g}')
+        lines.append(f'{family},"{EQUATION_LABELS[family]}",{report.total:.17g}')
     return "\n".join(lines) + "\n"

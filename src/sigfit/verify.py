@@ -16,15 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .errors import (
-    ChannelOutOfRangeError,
-    InsufficientEnrollmentError,
-    InvalidParamsError,
-    OneClassOnlyError,
-    SigfitError,
-)
-from .ingest import GENUINE, N_CHANNELS
+from .errors import InsufficientEnrollmentError, InvalidParamsError, OneClassOnlyError, SigfitError
+from .ingest import GENUINE, check_channels, sample_order
 from .ingest import extract_channel  # noqa: F401 - perfbench/tracing.py wraps this binding
+from .pipeline import FeatureVector
 
 SIGMA_FLOOR = 1e-9
 
@@ -71,14 +66,13 @@ def score_trials(vectors, protocol=None):
     """
     protocol = protocol or Protocol()
     protocol.validate()
-    by_user = {}
-    for vec in vectors:
-        key = "genuine" if vec.label == GENUINE else "forged"
-        by_user.setdefault(vec.user_id, {"genuine": [], "forged": []})[key].append(vec)
+    by_user = {}  # user_id -> vectors, users and samples in sample order
+    for vec in sorted(vectors, key=sample_order):
+        by_user.setdefault(vec.user_id, []).append(vec)
     trials = []
-    for user in sorted(by_user):
-        genuine = sorted(by_user[user]["genuine"], key=lambda v: v.sample_index)
-        forged = sorted(by_user[user]["forged"], key=lambda v: v.sample_index)
+    for user, user_vectors in by_user.items():
+        genuine = [v for v in user_vectors if v.label == GENUINE]
+        forged = [v for v in user_vectors if v.label != GENUINE]
         if len(genuine) < protocol.enroll_size + 1:
             raise InsufficientEnrollmentError(user, protocol.enroll_size + 1, len(genuine))
         order = _user_rng(protocol.seed, user).permutation(len(genuine))
@@ -147,32 +141,17 @@ def roc_csv(points):
 # --- preprocessing configurations under one protocol ---
 
 
-@dataclass(frozen=True)
-class _RawVector:
-    user_id: str
-    sample_index: int
-    label: str
-    values: np.ndarray
-
-
 def _raw_columns(channels):
     """The 0-based data columns of 1-based ``channels``; a raw vector is one slice of them."""
-    if not channels:
-        raise InvalidParamsError("a raw baseline needs at least one channel")
-    for c in channels:
-        if not 1 <= c <= N_CHANNELS:
-            raise ChannelOutOfRangeError(f"channel {c} not in 1..{N_CHANNELS}")
-    return [c - 1 for c in channels]
+    return [c - 1 for c in check_channels(channels)]
 
 
 # a raw vector is its channels' values one channel after another, as floats
 def _truncate_vectors(samples, channels):
     cols = _raw_columns(channels)
     min_n = min(s.n_points for s in samples)
-    return [
-        _RawVector(s.user_id, s.sample_index, s.label, s.data[:min_n, cols].T.astype(float).ravel())
-        for s in samples
-    ]
+    cut = [s.data[:min_n, cols].T.astype(float).ravel() for s in samples]
+    return [FeatureVector(s.user_id, s.sample_index, s.label, v) for s, v in zip(samples, cut)]
 
 
 def _zero_pad_vectors(samples, channels):
@@ -182,7 +161,7 @@ def _zero_pad_vectors(samples, channels):
     for s in samples:
         values = np.zeros((len(cols), max_n))
         values[:, : s.n_points] = s.data[:, cols].T
-        out.append(_RawVector(s.user_id, s.sample_index, s.label, values.ravel()))
+        out.append(FeatureVector(s.user_id, s.sample_index, s.label, values.ravel()))
     return out
 
 

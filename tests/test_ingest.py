@@ -202,6 +202,17 @@ class TestExtractChannel:
         with pytest.raises(ChannelOutOfRangeError):
             ingest.extract_channel(small_dataset[0], 8)
 
+    @pytest.mark.parametrize("channels, error, message", [
+        ((0,), ChannelOutOfRangeError, "channel 0 not in 1..7"),
+        ((1, 8), ChannelOutOfRangeError, "channel 8 not in 1..7"),
+        ((), InvalidParamsError, "no channels"),
+        ((1, 1), InvalidParamsError, "repeat"),
+    ])
+    def test_the_channel_rule(self, channels, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            ingest.check_channels(channels)
+        assert ingest.check_channels((3, 1, 7)) == (3, 1, 7)
+
     def test_projection_is_pure(self, small_dataset):
         sample = small_dataset[0]
         before = sample.data.copy()
@@ -248,7 +259,12 @@ class TestCheckSample:
         sample = ingest.SignatureSample("u", 1, ingest.GENUINE, data)
         warnings = ingest.check_sample(sample, source="f.TXT")
         assert len(warnings) == 1
-        assert "f.TXT" in warnings[0] and "line 3" in warnings[0]
+        assert "f.TXT" in warnings[0] and "point 2" in warnings[0]
+
+    def test_a_blank_line_does_not_move_the_position(self):
+        text = "3\n1 2 100 1 4 5 6\n\n2 3 90 1 4 5 6\n3 4 95 1 4 5 6\n"
+        warnings = ingest.check_sample(ingest.parse_sample(text), source="f.TXT")
+        assert warnings == ["f.TXT: timestamp decreases at point 2"]
 
     def test_clean_sample_has_no_warnings(self, small_dataset):
         assert ingest.check_sample(small_dataset[0]) == []
@@ -259,9 +275,30 @@ class TestLoadDataset:
         synth.write_dataset(tmp_path, n_users=1)
         index = ingest.load_dataset(tmp_path)
         assert index.counts() == {"1": (20, 20)}
-        assert [s.sample_index for s in index.genuine["1"]] == list(range(1, 21))
-        assert [s.sample_index for s in index.forged["1"]] == list(range(21, 41))
+        samples = index.samples()
+        assert [s.sample_index for s in samples if s.label == ingest.GENUINE] == list(range(1, 21))
+        assert [s.sample_index for s in samples if s.label == ingest.FORGED] == list(range(21, 41))
         assert not index.errors
+
+    def test_numeric_user_ids_sort_as_numbers(self, tmp_path):
+        for name in ("U10S1.TXT", "U10S21.TXT", "U2S21.TXT", "U2S1.TXT"):
+            (tmp_path / name).write_text(TABLE_STYLE_FILE)
+        index = ingest.load_dataset(tmp_path)
+        assert [(s.user_id, s.sample_index) for s in index.samples()] == [
+            ("2", 1), ("2", 21), ("10", 1), ("10", 21)
+        ]
+        assert list(index.counts().items()) == [("2", (1, 1)), ("10", (1, 1))]
+
+    def test_sample_order_puts_numeric_users_first(self, small_dataset):
+        data = small_dataset[0].data
+        samples = [
+            ingest.SignatureSample(user, index, ingest.GENUINE, data)
+            for user, index in (("b", 1), ("10", 2), ("a", 3), ("²", 4), ("10", 1), ("9", 5))
+        ]
+        ordered = sorted(samples, key=ingest.sample_order)  # "²" is a digit int() refuses
+        assert [(s.user_id, s.sample_index) for s in ordered] == [
+            ("9", 5), ("10", 1), ("10", 2), ("a", 3), ("b", 1), ("²", 4)
+        ]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DirectoryNotFoundError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfit import _blas, gof, ingest, models, pipeline, solver
+from sigfit import _blas, gof, ingest, models, pipeline, solver, verify
 from sigfit.errors import SigfitError
 
 TINY = pipeline.PipelineConfig(
@@ -47,7 +47,9 @@ class TestPreprocessSample:
         va = pipeline.preprocess_sample(first)
         vb = pipeline.preprocess_sample(second)
         assert len(va) == len(vb) == 231
-        assert va.layout == vb.layout
+        assert [(cf.channel, cf.family) for cf in va.channel_fits] == [
+            (cf.channel, cf.family) for cf in vb.channel_fits
+        ]
 
     def test_known_two_term_sinusoid_recovered_in_block(self):
         # amplitudes large enough that integer rounding sits below 1e-6
@@ -64,7 +66,7 @@ class TestPreprocessSample:
     def test_timestamp_block_front_filled_zero_padded(self, small_dataset):
         config = pipeline.PipelineConfig()
         vec = pipeline.preprocess_sample(small_dataset[0], config)
-        ts_block = vec.blocks[2]  # channel 3
+        ts_block = vec.values[66:99]  # channel 3
         assert len(ts_block) == 33
         assert np.any(ts_block[:2] != 0.0)
         np.testing.assert_array_equal(ts_block[2:], 0.0)
@@ -101,7 +103,7 @@ class TestPreprocessSample:
             (whole, [series], whole.n_terms),
             (dataclasses.replace(whole, per_segment_fit=True), units, 1),
         ]:
-            block = pipeline.preprocess_sample(small_dataset[0], config).blocks[0]
+            block = pipeline.preprocess_sample(small_dataset[0], config).values  # one channel
             for slot, part in zip(np.split(block, len(parts)), parts, strict=True):
                 result = solver.fit_series(part, "sum-of-sines", n_terms, config.solver)
                 expected = models.canonicalize(result.params).param_vector()
@@ -161,7 +163,7 @@ class TestBatchIsolation:
         (vec,) = batch.vectors
         assert len(vec) == config.vector_length
         failed = []
-        for block, fit in zip(vec.blocks, vec.channel_fits):
+        for block, fit in zip(np.split(vec.values, len(vec.channel_fits)), vec.channel_fits):
             assert (fit.termination == "failed") == (fit.error is not None)
             if fit.error:
                 failed.append(fit.channel)
@@ -226,7 +228,7 @@ class TestPerSegmentMode:
         config = pipeline.PipelineConfig(per_segment_fit=True)
         vec = pipeline.preprocess_sample(small_dataset[1], config)
         assert len(vec) == 231
-        assert all(family.startswith("segmented-") for _, family, _ in vec.layout)
+        assert all(cf.family.startswith("segmented-") for cf in vec.channel_fits)
 
     def test_segment_count_sets_width(self, small_dataset):
         config = pipeline.PipelineConfig(per_segment_fit=True, n_segments=5)
@@ -241,7 +243,7 @@ class TestPerSegmentMode:
         vec = pipeline.preprocess_sample(small_dataset[1], config)
         assert not any(cf.error for cf in vec.channel_fits)
         assert [f for _, f, _ in config.layout()] == [cf.family for cf in vec.channel_fits]
-        blocks = pipeline.vectors_to_json([vec])[0]["blocks"]
+        blocks = pipeline.vectors_to_json([vec], config)[0]["blocks"]
         assert [b["family"] for b in blocks] == [cf.family for cf in vec.channel_fits]
 
     def test_timestamp_parts_fit_the_configured_degree(self, small_dataset):
@@ -253,7 +255,7 @@ class TestPerSegmentMode:
             )
             vec = pipeline.preprocess_sample(small_dataset[0], config)
             assert vec.channel_fits[0].error is None
-            blocks[degree] = vec.blocks[0].reshape(4, 3)
+            blocks[degree] = vec.values.reshape(4, 3)  # one channel
         # descending coefficients: a line leaves the third slot zero, a parabola fills it
         np.testing.assert_array_equal(blocks[1][:, 2], 0.0)
         assert np.all(blocks[2][:, 2] != 0.0)
@@ -478,11 +480,23 @@ class TestVectorSerialization:
     def test_json_blocks(self, small_dataset):
         config = pipeline.PipelineConfig(n_terms=2, channels=(1, 2), timestamp_channel=None)
         batch = pipeline.uniformize_dataset(small_dataset[:1], config)
-        payload = pipeline.vectors_to_json(batch.vectors)
+        payload = pipeline.vectors_to_json(batch.vectors, config)
         assert len(payload) == 1
         blocks = payload[0]["blocks"]
         assert [b["channel"] for b in blocks] == [1, 2]
         assert all(len(b["coefficients"]) == 6 for b in blocks)
+
+    def test_json_blocks_laid_end_to_end_are_the_values(self, small_dataset):
+        config = dataclasses.replace(TINY, channels=(2, 3, 1), timestamp_channel=3)
+        batch = pipeline.uniformize_dataset(small_dataset[:2], config)
+        payload = pipeline.vectors_to_json(batch.vectors, config)
+        for vec, entry in zip(batch.vectors, payload, strict=True):
+            blocks = entry["blocks"]
+            assert [(b["channel"], b["family"]) for b in blocks] == [
+                (channel, family) for channel, family, _ in config.layout()
+            ]
+            laid = np.concatenate([b["coefficients"] for b in blocks])
+            assert laid.tobytes() == vec.values.tobytes()
 
 
 class TestConfigValidation:
@@ -510,6 +524,19 @@ class TestConfigValidation:
     ], ids=["whole-channel", "per-segment"])
     def test_a_timestamp_degree_that_fills_its_block_fits(self, config):
         config.validate()
+
+    @pytest.mark.parametrize("channels", [(0,), (8,), (), (1, 1)])
+    def test_a_bad_channel_list_is_refused_before_any_fit(
+        self, small_dataset, fit_series_calls, channels
+    ):
+        config = pipeline.PipelineConfig(channels=channels, timestamp_channel=None)
+        with pytest.raises(SigfitError):
+            pipeline.preprocess_sample(small_dataset[0], config)
+        with pytest.raises(SigfitError):
+            pipeline.uniformize_dataset(small_dataset[:2], config)
+        with pytest.raises(SigfitError):
+            verify.compare_preprocessors(small_dataset, config, include=("fitted",))
+        assert fit_series_calls == []
 
     def test_disabled_timestamp_is_fine(self, small_dataset):
         config = pipeline.PipelineConfig(channels=(1, 2), timestamp_channel=None, n_terms=2)

@@ -229,6 +229,12 @@ def test_a_tail_too_short_to_seed_joins_the_segment_before():
     assert [f for f, _ in rankings] == ["parabolic"]
 
 
+def test_every_rank_candidate_has_an_equation_label():
+    names = set(selection.TABLE_CANDIDATES) | set(models.FAMILIES)
+    assert sorted(names - set(selection.EQUATION_LABELS)) == []
+    assert all(label != family for family, label in selection.EQUATION_LABELS.items())
+
+
 def test_reference_curve_shapes(reference_series):
     seg = selection.segment(reference_series, 20)[3]
     for candidate in ("sinusoidal", "parabolic", "exponential", "sine"):

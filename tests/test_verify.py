@@ -13,7 +13,7 @@ from sigfit.errors import (
 
 
 def _vec(user, index, label, values):
-    return verify._RawVector(user, index, label, np.asarray(values, dtype=float))
+    return pipeline.FeatureVector(user, index, label, np.asarray(values, dtype=float))
 
 
 def _cluster_vectors(rng, n_users=4, dims=12, genuine_n=12, forged_n=6, separation=6.0):
@@ -57,7 +57,7 @@ class TestScoreTrials:
         baseline = verify.score_trials(vectors, verify.Protocol(10, seed=5))
         perm = rng.permutation(12)
         permuted = [
-            verify._RawVector(v.user_id, v.sample_index, v.label, v.values[perm])
+            pipeline.FeatureVector(v.user_id, v.sample_index, v.label, v.values[perm])
             for v in vectors
         ]
         shuffled = verify.score_trials(permuted, verify.Protocol(10, seed=5))
@@ -236,6 +236,16 @@ class TestComparePreprocessors:
         config = pipeline.PipelineConfig(channels=(channel,))
         with pytest.raises(ChannelOutOfRangeError):
             verify.compare_preprocessors(tiny_dataset, config, include=(baseline,))
+
+    def test_the_three_preprocessors_build_one_record(self, tiny_dataset, fast_config):
+        fitted = pipeline.uniformize_dataset(tiny_dataset[:2], fast_config).vectors
+        raw = verify._truncate_vectors(tiny_dataset, fast_config.channels)
+        raw += verify._zero_pad_vectors(tiny_dataset, fast_config.channels)
+        for vec in fitted + raw:
+            assert type(vec) is pipeline.FeatureVector
+            assert vec.values.dtype == np.float64 and len(vec) == len(vec.values)
+        assert all(len(v.channel_fits) == 2 for v in fitted)
+        assert all(v.channel_fits == () for v in raw)
 
     def test_raw_vectors_equal_the_extracted_channels(self, tiny_dataset):
         channels = (7, 1, 3)
